@@ -37,9 +37,6 @@ type Policy interface {
 	OnWake(line int)
 	// OnSleep is called when the line's gateway goes to sleep.
 	OnSleep(line int)
-	// Repack optimizes the whole mapping; only FullSwitch implements a
-	// non-trivial version.
-	Repack()
 	// ActiveLines returns the current number of active lines.
 	ActiveLines() int
 	// CardsAwake returns, per card, whether any active line terminates on
@@ -196,9 +193,6 @@ func (f *Fixed) OnWake(line int) { f.setActive(line, true) }
 // OnSleep marks the line inactive.
 func (f *Fixed) OnSleep(line int) { f.setActive(line, false) }
 
-// Repack is a no-op.
-func (f *Fixed) Repack() {}
-
 // KSwitch implements the paper's k-switch policy. The switch group of a
 // line is determined by its slot: all ports at slot s across the k cards of
 // a group belong to switch s.
@@ -261,13 +255,13 @@ func (s *KSwitch) OnWake(line int) {
 // wake time only).
 func (s *KSwitch) OnSleep(line int) { s.setActive(line, false) }
 
-// Repack is a no-op for k-switches: the paper restricts remapping to wake
-// instants.
-func (s *KSwitch) Repack() {}
-
-// FullSwitch can terminate any line on any port and repack all active
-// lines onto a minimal prefix of cards with zero disruption — the paper's
-// idealized Optimal upper bound.
+// FullSwitch can terminate any line on any port and keeps all active
+// lines packed onto a minimal prefix of cards with zero disruption — the
+// paper's idealized Optimal upper bound.
+//
+// Invariant, kept by every edge: the active lines occupy exactly ports
+// [0, ActiveLines()), so exactly ceil(active/portsPerCard) cards are awake.
+// Given it, an edge moves at most one line, in O(1).
 type FullSwitch struct{ *base }
 
 // NewFullSwitch builds the idealized policy.
@@ -279,49 +273,28 @@ func NewFullSwitch(d dsl.DSLAM, initialPort []int) (*FullSwitch, error) {
 	return &FullSwitch{b}, nil
 }
 
-// OnWake marks active and packs immediately.
+// OnWake marks the line active and moves it onto the first free port past
+// the active prefix (it already sits there when its port is that one),
+// displacing the inactive line wired there.
 func (f *FullSwitch) OnWake(line int) {
+	if f.active[line] {
+		return
+	}
 	f.setActive(line, true)
-	f.Repack()
+	f.move(line, f.activeN-1)
 }
 
-// OnSleep marks inactive and packs immediately.
+// OnSleep marks the line inactive and closes the hole it leaves: the active
+// line on the prefix's old top port moves into it, which swaps the sleeping
+// line up to that top port.
 func (f *FullSwitch) OnSleep(line int) {
+	if !f.active[line] {
+		return
+	}
 	f.setActive(line, false)
-	f.Repack()
-}
-
-// Repack moves every active line onto the lowest-numbered ports, occupying
-// exactly ceil(active/portsPerCard) cards. Active lines already inside the
-// target range stay put; only the rest move, displacing inactive lines.
-func (f *FullSwitch) Repack() {
-	var movers []int
-	n := f.activeN
-	taken := make([]bool, n)
-	for line := range f.portOf {
-		if !f.active[line] {
-			continue
-		}
-		if p := f.portOf[line]; p < n {
-			taken[p] = true
-		} else {
-			movers = append(movers, line)
-		}
+	if p := f.portOf[line]; p != f.activeN {
+		f.move(f.lineAt[f.activeN], p)
 	}
-	next := 0
-	for _, line := range movers {
-		for taken[next] {
-			next++
-		}
-		f.move(line, next)
-		taken[next] = true
-	}
-}
-
-// RandomInitialPorts is a convenience wrapper over dsl.RandomAssignment for
-// wiring n lines to a DSLAM.
-func RandomInitialPorts(d dsl.DSLAM, n int, seed int64) ([]int, error) {
-	return dsl.RandomAssignment(d, n, seed)
 }
 
 // SimulateSleepProbability estimates, by Monte Carlo, the probability that

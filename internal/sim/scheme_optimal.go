@@ -123,7 +123,6 @@ func (sc optimalScheme) onResolve(s *sim) {
 		sc.migrateFlows(s, g)
 		sc.closeGateway(s, g)
 	}
-	s.policy.Repack()
 	s.updateCards(s.now)
 }
 
