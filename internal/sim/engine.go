@@ -189,8 +189,10 @@ func (s *sim) handle(sh *shard, e event) {
 // that tick's time reproduces the identical estimator state — the skipped
 // zero-frame samples are invisible to Utilization and ActiveWithin. If no
 // tick fired since the estimator's reset, the dense loop would have left it
-// unprimed, so neither do we. (tickCount/lastTickT advance only at epoch
-// barriers, so shard lanes read a stable snapshot mid-phase.)
+// unprimed, so neither do we. Schemes that never read the estimator
+// (needEst false) skip the observation, here and in tick. (tickCount and
+// lastTickT advance only at epoch barriers, so shard lanes read a stable
+// snapshot mid-phase.)
 func (s *sim) awaken(sh *shard, g *gateway) {
 	l := g.id - sh.lo
 	w, b := l>>6, uint64(1)<<(uint(l)&63)
@@ -199,7 +201,7 @@ func (s *sim) awaken(sh *shard, g *gateway) {
 	}
 	sh.bits[w] |= b
 	sh.awakeN++
-	if s.tickCount > g.estResetTick {
+	if s.needEst && s.tickCount > g.estResetTick {
 		g.est.Observe(s.lastTickT, g.sn.Value())
 	}
 }
@@ -557,7 +559,7 @@ func (s *sim) linkBps(c, gw int) float64 {
 // and counted offline.
 //
 // When a worker pool is live, the per-gateway prep (controller advance,
-// transport elapse, estimator observation — all gateway-private state)
+// transport elapse, BH²'s estimator observation — all gateway-private state)
 // fans out in parallel first; the float reductions below then run serially
 // in ascending gateway id order, so the sums are bit-identical to the
 // serial interleaved loop.
@@ -585,9 +587,13 @@ func (s *sim) tick() {
 				if !prepped {
 					g.ctl.Advance(s.now)
 					// The estimator needs service progress up to now, not
-					// just up to the last transport event.
+					// just up to the last transport event. Every scheme
+					// elapses here: splitting service at ticks sets the
+					// float rounding of flow progress the goldens pin.
 					s.elapse(g, s.now)
-					g.est.Observe(s.now, g.sn.Value())
+					if s.needEst {
+						g.est.Observe(s.now, g.sn.Value())
+					}
 				}
 				if s.weight == nil {
 					if g.ctl.State() != power.Sleeping {
@@ -653,7 +659,9 @@ func (s *sim) tickPrepRange(sh *shard, w0, w1 int, now float64) {
 			word &= word - 1
 			g.ctl.Advance(now)
 			s.elapse(g, now)
-			g.est.Observe(now, g.sn.Value())
+			if s.needEst {
+				g.est.Observe(now, g.sn.Value())
+			}
 		}
 	}
 }

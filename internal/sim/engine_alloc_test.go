@@ -12,8 +12,10 @@ import (
 func TestTickSteadyStateAllocs(t *testing.T) {
 	// NoSleep keeps every gateway in the active set, so the tick loop runs
 	// its full per-gateway body (controller advance, elapse, estimator
-	// observation, power sampling) — the worst case for allocations.
+	// observation, power sampling) — the worst case for allocations. The
+	// estimator feed is BH²-only; force it on so its rings are covered.
 	s := handSim(t, NoSleep, nil, nil)
+	s.needEst = true
 	for i := 0; i < 300; i++ {
 		s.now += 1
 		s.tick()

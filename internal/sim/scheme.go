@@ -51,6 +51,10 @@ type strategy interface {
 	// counters (sim.clientBytes); the engine skips that accounting — and
 	// keeps the parallel tick free of shared writes — when it does not.
 	usesDemand() bool
+	// usesEstimator reports whether the scheme reads the gateways' passive
+	// load estimators (wifi.LoadEstimator); the engine skips feeding them
+	// SN observations when it does not.
+	usesEstimator() bool
 }
 
 // newStrategy maps a Scheme constant to its strategy implementation.
@@ -93,6 +97,7 @@ func (baseScheme) onFailure(*sim, int, bool)              {}
 func (baseScheme) sleepCards() bool                       { return true }
 func (baseScheme) parallelMode() engineMode               { return modeSerial }
 func (baseScheme) usesDemand() bool                       { return false }
+func (baseScheme) usesEstimator() bool                    { return false }
 
 // fabric selects the DSLAM switch model a scheme runs over (§4).
 type fabric int

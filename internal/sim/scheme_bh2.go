@@ -26,6 +26,9 @@ func (sc bh2Scheme) newPolicy(cfg Config) (kswitch.Policy, error) {
 // work parallelizes.
 func (bh2Scheme) parallelMode() engineMode { return modeTick }
 
+// BH² terminals observe gateway loads through the SN estimators (views).
+func (bh2Scheme) usesEstimator() bool { return true }
+
 // seedEvents spreads the first decision of every terminal uniformly over
 // one period so the population never decides in lockstep.
 func (sc bh2Scheme) seedEvents(s *sim) {

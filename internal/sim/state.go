@@ -198,6 +198,9 @@ type sim struct {
 	// hot transport path skips the accumulation — and the parallel tick
 	// never writes shared state — for every other scheme.
 	needDemand bool
+	// needEst gates the per-tick SN observations that feed the gateways'
+	// load estimators: only the BH² schemes ever query them (views).
+	needEst bool
 
 	tickCount int64   // ticks fired so far
 	lastTickT float64 // time of the most recent tick
@@ -284,6 +287,7 @@ func newSim(cfg Config) (*sim, error) {
 		s.mode = modeTick
 	}
 	s.needDemand = strat.usesDemand()
+	s.needEst = strat.usesEstimator()
 
 	bins := int(end / cfg.SampleEvery)
 	s.powerTS = stats.NewTimeSeries(0, end, bins)

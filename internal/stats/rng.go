@@ -8,8 +8,13 @@ import (
 // NewRNG returns a deterministic PRNG for the given experiment seed and
 // stream label. Distinct labels give independent streams, so a simulation
 // can hand sub-seeds to its components without coupling their draws.
+// The draws are those of rand.New(rand.NewSource(seed ^ splitmix64(stream))):
+// the generator runs on source, an exact replica of math/rand's source
+// whose seeding is cheap enough to redo per trace client.
 func NewRNG(seed int64, stream uint64) *rand.Rand {
-	return rand.New(rand.NewSource(seed ^ int64(splitmix64(stream))))
+	src := new(source)
+	src.Seed(seed ^ int64(splitmix64(stream)))
+	return rand.New(src)
 }
 
 // Reseed re-seeds r in place to the exact state a fresh

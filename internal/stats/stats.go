@@ -230,15 +230,6 @@ func (ts *TimeSeries) MeanAt(i int) float64 {
 	return ts.sum[i] / float64(ts.n[i])
 }
 
-// Means returns the per-bin means.
-func (ts *TimeSeries) Means() []float64 {
-	out := make([]float64, len(ts.sum))
-	for i := range out {
-		out[i] = ts.MeanAt(i)
-	}
-	return out
-}
-
 // Merge adds another compatible series bin-wise.
 func (ts *TimeSeries) Merge(o *TimeSeries) error {
 	if o.Start != ts.Start || o.End != ts.End || len(o.sum) != len(ts.sum) {
