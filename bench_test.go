@@ -38,12 +38,12 @@ var (
 func day(b *testing.B) *figures.DayRuns {
 	b.Helper()
 	dayOnce.Do(func() {
-		var sc *figures.Scenario
-		sc, dayErr = figures.NewScenario(1)
+		var base sim.Config
+		base, dayErr = figures.NewScenario(1)
 		if dayErr != nil {
 			return
 		}
-		dayRuns, dayErr = figures.RunDay(sc, nil)
+		dayRuns, dayErr = figures.RunDay(base, nil)
 	})
 	if dayErr != nil {
 		b.Fatal(dayErr)
@@ -56,11 +56,11 @@ func day(b *testing.B) *figures.DayRuns {
 // scheduled on 1 worker vs GOMAXPROCS workers. The per-scheme results are
 // identical (runner_test.go proves it); only wall-clock differs.
 func benchSchemeComparison(b *testing.B, workers int) {
-	sc := benchScenario(b)
+	base := benchScenario(b)
 	schemes := []sim.Scheme{sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.BH2KSwitch}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jobs := runner.SchemeJobs(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Seed: 2}, schemes)
+		jobs := runner.SchemeJobs(base, schemes)
 		outs := (runner.Runner{Workers: workers}).Run(context.Background(), jobs)
 		if err := runner.FirstErr(outs); err != nil {
 			b.Fatal(err)
@@ -271,48 +271,53 @@ func BenchmarkSoIBound(b *testing.B) {
 	}
 }
 
-// --- ablations (design choices DESIGN.md calls out) ---
+// --- ablations of the schemes' design choices ---
 
-func benchScenario(b *testing.B) *figures.Scenario {
+// benchScenario is the evaluation scenario at seed 2; each benchmark
+// copies it and sets the scheme (and any knob) it measures.
+func benchScenario(b *testing.B) sim.Config {
 	b.Helper()
-	sc, err := figures.NewScenario(2)
+	base, err := figures.NewScenario(2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sc
+	return base
+}
+
+// run simulates base under scheme sc.
+func run(b *testing.B, base sim.Config, sc sim.Scheme) *sim.Result {
+	b.Helper()
+	cfg := base
+	cfg.Scheme = sc
+	res, err := sim.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 func BenchmarkAblationBackup(b *testing.B) {
-	sc := benchScenario(b)
+	base := benchScenario(b)
 	for i := 0; i < b.N; i++ {
-		with, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		without, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2NoBackup, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
+		with := run(b, base, sim.BH2KSwitch)
+		without := run(b, base, sim.BH2NoBackup)
 		b.ReportMetric(sim.MeanOver(with.OnlineGWs, 11, 19), "backup1-online-gws")
 		b.ReportMetric(sim.MeanOver(without.OnlineGWs, 11, 19), "backup0-online-gws")
 	}
 }
 
 func BenchmarkAblationSwitch(b *testing.B) {
-	sc := benchScenario(b)
+	base := benchScenario(b)
 	for i := 0; i < b.N; i++ {
 		for _, sch := range []sim.Scheme{sim.SoI, sim.SoIKSwitch, sim.SoIFullSwitch} {
-			res, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sch, Seed: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := run(b, base, sch)
 			b.ReportMetric(sim.MeanOver(res.OnlineCards, 11, 19), sch.String()+"-cards")
 		}
 	}
 }
 
 func BenchmarkAblationThresholds(b *testing.B) {
-	sc := benchScenario(b)
+	base := benchScenario(b)
 	for i := 0; i < b.N; i++ {
 		for _, th := range []struct {
 			name      string
@@ -322,32 +327,26 @@ func BenchmarkAblationThresholds(b *testing.B) {
 			{"tight-05-30", 0.05, 0.30},
 			{"loose-20-70", 0.20, 0.70},
 		} {
-			cfg := sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch, Seed: 2}
+			cfg := base
 			cfg.BH2.Low, cfg.BH2.High = th.low, th.high
 			cfg.BH2.Backup = 1
 			cfg.BH2.PeriodSec, cfg.BH2.JitterSec, cfg.BH2.EstWindow = 150, 30, 60
 			cfg.BH2.WakeUpHome = true
-			res, err := sim.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := run(b, cfg, sim.BH2KSwitch)
 			b.ReportMetric(float64(res.Wakeups), th.name+"-wakeups")
 		}
 	}
 }
 
 func BenchmarkAblationPeriod(b *testing.B) {
-	sc := benchScenario(b)
+	base := benchScenario(b)
 	for i := 0; i < b.N; i++ {
 		for _, period := range []float64{60, 150, 300} {
-			cfg := sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch, Seed: 2}
+			cfg := base
 			cfg.BH2.Low, cfg.BH2.High, cfg.BH2.Backup = 0.10, 0.50, 1
 			cfg.BH2.PeriodSec, cfg.BH2.JitterSec, cfg.BH2.EstWindow = period, period/5, 60
 			cfg.BH2.WakeUpHome = true
-			res, err := sim.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := run(b, cfg, sim.BH2KSwitch)
 			b.ReportMetric(float64(res.Moves), "moves")
 		}
 	}
@@ -356,17 +355,11 @@ func BenchmarkAblationPeriod(b *testing.B) {
 // BenchmarkAblationCentralized compares the §3.3 centralized-controller
 // extension against distributed BH2 and the idealized Optimal.
 func BenchmarkAblationCentralized(b *testing.B) {
-	sc := benchScenario(b)
+	base := benchScenario(b)
 	for i := 0; i < b.N; i++ {
-		base, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.NoSleep, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cen, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.Centralized, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(cen.SavingsVs(base)*100, "centralized-savings-%")
+		off := run(b, base, sim.NoSleep)
+		cen := run(b, base, sim.Centralized)
+		b.ReportMetric(cen.SavingsVs(off)*100, "centralized-savings-%")
 		b.ReportMetric(sim.MeanOver(cen.OnlineGWs, 11, 19), "centralized-online-gws")
 	}
 }
@@ -374,38 +367,27 @@ func BenchmarkAblationCentralized(b *testing.B) {
 // BenchmarkAblationWakeTime compares the constant 60 s wake against the
 // measured distribution (up to 3 min resyncs).
 func BenchmarkAblationWakeTime(b *testing.B) {
-	sc := benchScenario(b)
+	base := benchScenario(b)
+	randomWake := base
+	randomWake.RandomWake = true
 	for i := 0; i < b.N; i++ {
-		fixed, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		random, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch, Seed: 2, RandomWake: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		base, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.NoSleep, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(fixed.SavingsVs(base)*100, "fixed-wake-savings-%")
-		b.ReportMetric(random.SavingsVs(base)*100, "random-wake-savings-%")
+		fixed := run(b, base, sim.BH2KSwitch)
+		random := run(b, randomWake, sim.BH2KSwitch)
+		off := run(b, base, sim.NoSleep)
+		b.ReportMetric(fixed.SavingsVs(off)*100, "fixed-wake-savings-%")
+		b.ReportMetric(random.SavingsVs(off)*100, "random-wake-savings-%")
 	}
 }
 
 // BenchmarkAblationKSize sweeps the switch size on an 8-card DSLAM.
 func BenchmarkAblationKSize(b *testing.B) {
-	sc := benchScenario(b)
-	shelf := dsl.DSLAM{Cards: 8, PortsPerCard: 6}
+	base := benchScenario(b)
+	base.DSLAM = dsl.DSLAM{Cards: 8, PortsPerCard: 6}
 	for i := 0; i < b.N; i++ {
 		for _, k := range []int{2, 4, 8} {
-			res, err := sim.Run(sim.Config{
-				Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch,
-				Seed: 2, DSLAM: shelf, K: k,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			cfg := base
+			cfg.K = k
+			res := run(b, cfg, sim.BH2KSwitch)
 			b.ReportMetric(sim.MeanOver(res.OnlineCards, 11, 19), fmt.Sprintf("k%d-online-cards", k))
 		}
 	}
@@ -457,11 +439,9 @@ func BenchmarkCrosstalkSyncRate(b *testing.B) {
 // BenchmarkSimulatorDay measures raw simulator throughput: one full
 // simulated day of SoI over the evaluation scenario per iteration.
 func BenchmarkSimulatorDay(b *testing.B) {
-	sc := benchScenario(b)
+	base := benchScenario(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.SoI, Seed: 2}); err != nil {
-			b.Fatal(err)
-		}
+		run(b, base, sim.SoI)
 	}
 }

@@ -5,7 +5,7 @@
 //   - the §5 four-scheme day comparison over the office scenario (the same
 //     workload as BenchmarkSchemeComparisonSerial in bench_test.go);
 //   - the city scenario: a 10k-gateway / 100k-client residential metro
-//     (trace.DefaultCityConfig over topology.GridCity), duration-bounded so
+//     (a residential grid-city campaign cell), duration-bounded so
 //     a trajectory point costs minutes, not hours — each scheme measured
 //     serially and again on the sharded engine (-shards lanes; identical
 //     results, so the pair reads as a speedup measurement);
@@ -47,11 +47,11 @@ import (
 	"insomnia/internal/campaign"
 	"insomnia/internal/cli"
 	"insomnia/internal/dsl"
+	"insomnia/internal/figures"
 	"insomnia/internal/perf"
 	"insomnia/internal/runner"
 	"insomnia/internal/sim"
 	"insomnia/internal/topology"
-	"insomnia/internal/trace"
 )
 
 func main() {
@@ -170,25 +170,18 @@ func gate(fresh *perf.Report, against, selfPath string, wallTol, allocTol float6
 }
 
 // benchComparison mirrors BenchmarkSchemeComparisonSerial: one shared
-// office-day scenario, four schemes on one worker.
+// office-day scenario (figures.NewScenario), four schemes on one worker.
 func benchComparison(rep *perf.Report, seed int64) error {
-	tr, err := trace.Generate(trace.DefaultSimConfig(seed))
+	base, err := figures.NewScenario(seed)
 	if err != nil {
 		return err
 	}
-	g, err := topology.OverlapGraph(tr.Cfg.APs, topology.DefaultMeanInRange, seed)
-	if err != nil {
-		return err
-	}
-	tp, err := topology.FromOverlap(g, tr.ClientAP)
-	if err != nil {
-		return err
-	}
+	tr := base.Trace
 	scenario := fmt.Sprintf("office-day: %d clients / %d gateways / %.0fs, seed %d",
 		tr.Cfg.Clients, tr.Cfg.APs, tr.Cfg.Duration, seed)
 	return rep.Measure("scheme-comparison-serial", scenario, func() (map[string]float64, error) {
 		schemes := []sim.Scheme{sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.BH2KSwitch}
-		jobs := runner.SchemeJobs(sim.Config{Trace: tr, Topo: tp, Seed: seed}, schemes)
+		jobs := runner.SchemeJobs(base, schemes)
 		outs := (runner.Runner{Workers: 1}).Run(context.Background(), jobs)
 		if err := runner.FirstErr(outs); err != nil {
 			return nil, err
@@ -204,42 +197,29 @@ func benchComparison(rep *perf.Report, seed int64) error {
 	})
 }
 
-// cityFixture generates the metro workload and topology, measuring trace
-// generation as its own trajectory entry under the given name.
-func cityFixture(rep *perf.Report, name, scenario string, seed int64, gws, clients int, duration float64) (*trace.Trace, *topology.Topology, dsl.DSLAM, error) {
-	cfg := trace.DefaultCityConfig(seed)
-	cfg.APs, cfg.Clients, cfg.Duration = gws, clients, duration
-
-	var tr *trace.Trace
+// cityConfig builds the metro scenario — the residential profile on a
+// grid city with 5.6 networks in range, shelf sized by the campaign — as
+// a campaign cell (campaign.CellConfig), measuring trace generation and
+// topology build as its own trajectory entry under the given name.
+func cityConfig(rep *perf.Report, name, scenario string, seed int64, gws, clients int, duration float64) (sim.Config, error) {
+	spec := dsl.Spec{
+		Schemes:  []string{sim.NoSleep.String()},
+		Duration: duration,
+		Trace:    dsl.TraceSpec{Profile: "residential", Clients: clients, Gateways: gws},
+		Topology: dsl.TopoSpec{Kind: "grid-city", MeanInRange: topology.DefaultMeanInRange},
+	}
+	var base sim.Config
 	err := rep.Measure(name, scenario, func() (map[string]float64, error) {
 		var err error
-		tr, err = trace.Generate(cfg)
-		if err != nil {
+		if base, err = campaign.CellConfig(spec, seed, sim.NoSleep); err != nil {
 			return nil, err
 		}
 		return map[string]float64{
-			"flows":      float64(len(tr.Flows)),
-			"keepalives": float64(len(tr.Keepalives)),
+			"flows":      float64(len(base.Trace.Flows)),
+			"keepalives": float64(len(base.Trace.Keepalives)),
 		}, nil
 	})
-	if err != nil {
-		return nil, nil, dsl.DSLAM{}, err
-	}
-	g, err := topology.GridCity(gws, topology.DefaultMeanInRange, seed)
-	if err != nil {
-		return nil, nil, dsl.DSLAM{}, err
-	}
-	tp, err := topology.FromOverlap(g, tr.ClientAP)
-	if err != nil {
-		return nil, nil, dsl.DSLAM{}, err
-	}
-	// A metro head-end: enough 48-port cards for every gateway, card count
-	// rounded to the k-switch group size.
-	cards := (gws + 47) / 48
-	if r := cards % 4; r != 0 {
-		cards += 4 - r
-	}
-	return tr, tp, dsl.DSLAM{Cards: cards, PortsPerCard: 48}, nil
+	return base, err
 }
 
 // benchCity runs the city scenario: trace generation is measured as its own
@@ -251,12 +231,12 @@ func cityFixture(rep *perf.Report, name, scenario string, seed int64, gws, clien
 func benchCity(rep *perf.Report, seed int64, gws, clients int, duration float64, shards int) error {
 	scenario := fmt.Sprintf("city: %d clients / %d gateways / %.0fs, seed %d",
 		clients, gws, duration, seed)
-	tr, tp, shelf, err := cityFixture(rep, "city-trace-gen", scenario, seed, gws, clients, duration)
+	base, err := cityConfig(rep, "city-trace-gen", scenario, seed, gws, clients, duration)
 	if err != nil {
 		return err
 	}
 
-	var base *sim.Result
+	var off *sim.Result
 	for _, v := range []struct {
 		prefix string
 		shards int
@@ -267,10 +247,9 @@ func benchCity(rep *perf.Report, seed int64, gws, clients int, duration float64,
 		for _, sc := range []sim.Scheme{sim.NoSleep, sim.SoI, sim.BH2KSwitch} {
 			sc := sc
 			err := rep.Measure(v.prefix+sc.String(), scenario, func() (map[string]float64, error) {
-				res, err := sim.Run(sim.Config{
-					Trace: tr, Topo: tp, Scheme: sc, Seed: seed, DSLAM: shelf, K: 4,
-					Shards: v.shards,
-				})
+				cfg := base
+				cfg.Scheme, cfg.Shards = sc, v.shards
+				res, err := sim.Run(cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -279,11 +258,11 @@ func benchCity(rep *perf.Report, seed int64, gws, clients int, duration float64,
 					"mean_online_gws": sim.MeanOver(res.OnlineGWs, 0, duration/3600),
 				}, max(v.shards, 1))
 				if sc == sim.NoSleep {
-					if base == nil {
-						base = res
+					if off == nil {
+						off = res
 					}
-				} else if base != nil {
-					m["savings"] = res.SavingsVs(base)
+				} else if off != nil {
+					m["savings"] = res.SavingsVs(off)
 				}
 				if res.Moves > 0 {
 					m["moves"] = float64(res.Moves)
@@ -379,15 +358,13 @@ func benchCollapse(rep *perf.Report, seed int64, gws, clients int, duration floa
 func benchXL(rep *perf.Report, seed int64, gws, clients int, duration float64, shards int) error {
 	scenario := fmt.Sprintf("xl-metro: %d clients / %d gateways / %.0fs, seed %d",
 		clients, gws, duration, seed)
-	tr, tp, shelf, err := cityFixture(rep, "xl-trace-gen", scenario, seed, gws, clients, duration)
+	cfg, err := cityConfig(rep, "xl-trace-gen", scenario, seed, gws, clients, duration)
 	if err != nil {
 		return err
 	}
+	cfg.Scheme, cfg.Shards = sim.SoI, shards
 	return rep.Measure("xl-sharded-"+sim.SoI.String(), scenario, func() (map[string]float64, error) {
-		res, err := sim.Run(sim.Config{
-			Trace: tr, Topo: tp, Scheme: sim.SoI, Seed: seed, DSLAM: shelf, K: 4,
-			Shards: shards,
-		})
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -187,12 +187,12 @@ func main() {
 func averagedDayRuns(seed int64, runs, workers, shards int) (*figures.DayRuns, error) {
 	var first *figures.DayRuns
 	for i := 0; i < runs; i++ {
-		sc, err := figures.NewScenario(seed + int64(i))
+		base, err := figures.NewScenario(seed + int64(i))
 		if err != nil {
 			return nil, err
 		}
-		sc.Shards = shards
-		day, err := figures.RunDayWorkers(sc, nil, workers)
+		base.Shards = shards
+		day, err := figures.RunDayWorkers(base, nil, workers)
 		if err != nil {
 			return nil, err
 		}

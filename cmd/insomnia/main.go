@@ -1,9 +1,12 @@
 // Command insomnia runs one scheme over the evaluation scenario and prints
 // its energy and device metrics — the quick way to poke at the simulator.
+// The flags fill a one-cell campaign spec (office profile, overlap
+// topology) and the run simulates exactly that cell's sim.Config;
+// -scheme takes the canonical scheme names of campaign specs.
 //
 // Usage:
 //
-//	insomnia [-scheme bh2k] [-seed 1] [-clients 272] [-gateways 40]
+//	insomnia [-scheme BH2+k-switch] [-seed 1] [-clients 272] [-gateways 40]
 //	         [-density 5.6] [-low 0.1] [-high 0.5] [-backup 1] [-csv]
 package main
 
@@ -11,30 +14,22 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"strings"
 
 	"insomnia/internal/bh2"
+	"insomnia/internal/campaign"
+	"insomnia/internal/cli"
+	"insomnia/internal/dsl"
 	"insomnia/internal/perf"
 	"insomnia/internal/sim"
 	"insomnia/internal/topology"
-	"insomnia/internal/trace"
 )
-
-var schemes = map[string]sim.Scheme{
-	"nosleep": sim.NoSleep,
-	"soi":     sim.SoI,
-	"soik":    sim.SoIKSwitch,
-	"soifull": sim.SoIFullSwitch,
-	"bh2k":    sim.BH2KSwitch,
-	"bh2full": sim.BH2FullSwitch,
-	"bh2nb":   sim.BH2NoBackup,
-	"optimal": sim.Optimal,
-	"central": sim.Centralized,
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("insomnia: ")
-	schemeName := flag.String("scheme", "bh2k", "scheme: nosleep|soi|soik|soifull|bh2k|bh2full|bh2nb|optimal|central")
+	schemeName := flag.String("scheme", sim.BH2KSwitch.String(), "scheme: "+strings.Join(dsl.SchemeNames, "|"))
 	seed := flag.Int64("seed", 1, "RNG seed")
 	clients := flag.Int("clients", 272, "number of terminal devices")
 	gateways := flag.Int("gateways", 40, "number of gateways")
@@ -46,10 +41,15 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := flag.String("memprofile", "", "write heap profile to file at exit")
 	flag.Parse()
+	if err := cli.RejectArgs("insomnia", flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	scheme, ok := schemes[*schemeName]
-	if !ok {
-		log.Fatalf("unknown scheme %q", *schemeName)
+	scheme, err := campaign.SchemeByName(*schemeName)
+	if err != nil {
+		log.Fatalf("%v (known: %s)", err, strings.Join(dsl.SchemeNames, ", "))
 	}
 
 	// cleanup is idempotent: deferred for the normal path, called
@@ -84,29 +84,27 @@ type options struct {
 }
 
 func run(o options) error {
-	cfg := trace.DefaultSimConfig(o.seed)
-	cfg.Clients, cfg.APs = o.clients, o.gateways
-	tr, err := trace.Generate(cfg)
+	spec := dsl.Spec{
+		Schemes:  []string{o.scheme.String()},
+		Seeds:    []int64{o.seed},
+		Trace:    dsl.TraceSpec{Profile: "office", Clients: o.clients, Gateways: o.gateways},
+		Topology: dsl.TopoSpec{Kind: "overlap", MeanInRange: o.density},
+	}
+	cfg, err := campaign.CellConfig(spec, o.seed, o.scheme)
 	if err != nil {
 		return err
 	}
-	g, err := topology.OverlapGraph(o.gateways, o.density, o.seed)
-	if err != nil {
-		return err
-	}
-	tp, err := topology.FromOverlap(g, tr.ClientAP)
-	if err != nil {
-		return err
-	}
+	tr := cfg.Trace
+	off := cfg
+	off.Scheme = sim.NoSleep
+	cfg.BH2 = bh2.DefaultParams()
+	cfg.BH2.Low, cfg.BH2.High, cfg.BH2.Backup = o.low, o.high, o.backup
 
-	params := bh2.DefaultParams()
-	params.Low, params.High, params.Backup = o.low, o.high, o.backup
-
-	base, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: sim.NoSleep, Seed: o.seed})
+	base, err := sim.Run(off)
 	if err != nil {
 		return err
 	}
-	res, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: o.scheme, Seed: o.seed, BH2: params})
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}

@@ -11,38 +11,37 @@ import (
 	"fmt"
 	"log"
 
+	"insomnia/internal/campaign"
+	"insomnia/internal/dsl"
 	"insomnia/internal/sim"
-	"insomnia/internal/topology"
-	"insomnia/internal/trace"
 )
 
 func main() {
-	tr, err := trace.Generate(trace.DefaultSimConfig(11))
+	// The §5.1 office day: 272 clients on 40 gateways, 5.6 in range.
+	spec := dsl.Spec{
+		Schemes:  []string{"SoI", "BH2+k-switch", "centralized+k-switch", "optimal"},
+		Seeds:    []int64{11},
+		Trace:    dsl.TraceSpec{Profile: "office", Clients: 272, Gateways: 40},
+		Topology: dsl.TopoSpec{Kind: "overlap", MeanInRange: 5.6},
+	}
+	cfg, err := campaign.CellConfig(spec, 11, sim.NoSleep)
 	if err != nil {
 		log.Fatal(err)
 	}
-	graph, err := topology.OverlapGraph(tr.Cfg.APs, topology.DefaultMeanInRange, 11)
-	if err != nil {
-		log.Fatal(err)
-	}
-	topo, err := topology.FromOverlap(graph, tr.ClientAP)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	base, err := sim.Run(sim.Config{Trace: tr, Topo: topo, Scheme: sim.NoSleep, Seed: 11})
+	base, err := sim.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("scheme                    savings   peak online gateways (11-19h)")
 	for _, sch := range []sim.Scheme{sim.SoI, sim.BH2KSwitch, sim.Centralized, sim.Optimal} {
-		res, err := sim.Run(sim.Config{Trace: tr, Topo: topo, Scheme: sch, Seed: 11})
+		cfg.Scheme = sch
+		res, err := sim.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-25s %5.1f%%    %.1f of %d\n",
-			sch, res.SavingsVs(base)*100, sim.MeanOver(res.OnlineGWs, 11, 19), tr.Cfg.APs)
+			sch, res.SavingsVs(base)*100, sim.MeanOver(res.OnlineGWs, 11, 19), cfg.Topo.NumGateways)
 	}
 	fmt.Println("\nreading: the distributed heuristic needs no controller and no gateway")
 	fmt.Println("changes; the centralized variant shows what coordination alone adds;")

@@ -191,38 +191,19 @@ func buildFixture(sp dsl.Spec, seed int64, needFull, needQuot bool) (*fixture, e
 			return nil, err
 		}
 	}
-	if !needFull {
-		return f, nil
+	if needFull {
+		if f.tr, f.tp, err = fullScenario(sp, seed, g); err != nil {
+			return nil, err
+		}
 	}
-	cfg, err := traceConfig(sp, seed)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := trace.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tp, err := buildTopology(sp, tr, g, seed)
-	if err != nil {
-		return nil, err
-	}
-	f.tr, f.tp = tr, tp
 	return f, nil
 }
 
-// BuildScenario generates the concrete (trace, topology) pair a normalized
-// spec describes for one seed — exactly what a campaign cell simulates,
-// minus the scheme and shelf choices. Times throughout are simulated
-// seconds from 0 and sizes are bytes; the same (spec, seed) always yields
-// byte-identical scenarios. It exists for harnesses that need to confront
-// the engine with an independently built scenario, e.g. the analytic
-// oracle's reference interpreter (internal/oracle), which re-simulates the
-// identical trace on its own straight-line event loop.
-func BuildScenario(sp dsl.Spec, seed int64) (*trace.Trace, *topology.Topology, error) {
-	g, err := buildGraph(sp, seed)
-	if err != nil {
-		return nil, nil, err
-	}
+// fullScenario generates the full (trace, topology) pair of a normalized,
+// sweep-free spec at one seed over its gateway graph g (nil for binomial
+// topologies). The same (spec, seed) always yields byte-identical
+// scenarios.
+func fullScenario(sp dsl.Spec, seed int64, g *topology.Graph) (*trace.Trace, *topology.Topology, error) {
 	cfg, err := traceConfig(sp, seed)
 	if err != nil {
 		return nil, nil, err
@@ -236,6 +217,33 @@ func BuildScenario(sp dsl.Spec, seed int64) (*trace.Trace, *topology.Topology, e
 		return nil, nil, err
 	}
 	return tr, tp, nil
+}
+
+// CellConfig returns the sim.Config a campaign cell of sp runs at seed
+// under scheme sc, uncollapsed: the full trace and topology, the shelf,
+// k, idle timeout and failure plan, exactly as the campaign fills them.
+// It is the one spec-to-Config mapping; callers that need a single
+// simulation of a described scenario (the figures, the bench, the
+// insomnia CLI, the oracle) build it here instead of by hand. The spec is
+// normalized with WithDefaults; a spec with sweeps names no single cell.
+// Both validation failures wrap ErrSpecInvalid.
+func CellConfig(sp dsl.Spec, seed int64, sc sim.Scheme) (sim.Config, error) {
+	sp, err := sp.WithDefaults()
+	if err != nil {
+		return sim.Config{}, specErr(err)
+	}
+	if len(sp.Sweeps) > 0 {
+		return sim.Config{}, specErr(fmt.Errorf("campaign: CellConfig needs a sweep-free spec, got %d sweep(s)", len(sp.Sweeps)))
+	}
+	g, err := buildGraph(sp, seed)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	f := &fixture{}
+	if f.tr, f.tp, err = fullScenario(sp, seed, g); err != nil {
+		return sim.Config{}, err
+	}
+	return simConfig(sp, f, Cell{Seed: seed, Scheme: sc}, false), nil
 }
 
 // traceConfig maps a trace spec to a generator config. Profile families

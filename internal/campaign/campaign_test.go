@@ -556,3 +556,83 @@ func TestShelfAutoSizing(t *testing.T) {
 		t.Errorf("explicit shelf ignored: %+v", s)
 	}
 }
+
+// TestCellConfigMatchesCampaign pins CellConfig to the campaign: for an
+// office spec with failures and a grid-city spec, simulating each cell's
+// CellConfig and reducing the result gives the campaign's row, for every
+// scheme.
+func TestCellConfigMatchesCampaign(t *testing.T) {
+	office := dsl.Spec{
+		Schemes: dsl.SchemeNames, Seeds: []int64{3}, Duration: 3600,
+		Trace:    dsl.TraceSpec{Profile: "office", Clients: 48, Gateways: 8},
+		Topology: dsl.TopoSpec{Kind: "overlap", MeanInRange: 5},
+		Failures: &dsl.FailureSpec{
+			Crashes: []dsl.CrashSpec{{At: 600, Count: 2}},
+			Outages: []dsl.OutageSpec{{Start: 1800, Duration: 300, Frac: 0.5}},
+		},
+		Outputs: []string{"summary", "power"},
+	}
+	city := dsl.Spec{
+		Schemes: dsl.SchemeNames, Seeds: []int64{4}, Duration: 3600,
+		Trace:    dsl.TraceSpec{Profile: "residential", Clients: 64, Gateways: 16},
+		Topology: dsl.TopoSpec{Kind: "grid-city", MeanInRange: 4},
+	}
+	for _, spec := range []dsl.Spec{office, city} {
+		p, err := Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runPlan(p, Options{Workers: 2, OutDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != len(p.Cells) {
+			t.Fatalf("%s: %d rows for %d cells", spec.Trace.Profile, len(res.Rows), len(p.Cells))
+		}
+		for i, c := range p.Cells {
+			cfg, err := CellConfig(spec, c.Seed, c.Scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := reduce(c, p.Spec.Duration, out, p.Spec.HasOutput("power"), nil, false)
+			if !rowsEqual(got, res.Rows[i]) {
+				t.Errorf("%s cell %s: CellConfig row %+v, campaign row %+v", spec.Trace.Profile, c.Key(), got, res.Rows[i])
+			}
+		}
+	}
+}
+
+// TestCellConfigRejectsSweeps: a swept spec names no single cell.
+func TestCellConfigRejectsSweeps(t *testing.T) {
+	spec, err := dsl.ParseSpec([]byte(testSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CellConfig(spec, 1, sim.SoI); !errors.Is(err, ErrSpecInvalid) {
+		t.Fatalf("swept spec: got %v, want an ErrSpecInvalid error", err)
+	}
+}
+
+// TestWritePowerCSV pins power.csv's text: one column per cell over the
+// longest hour axis, blanks past a shorter cell's horizon, 6 significant
+// digits.
+func TestWritePowerCSV(t *testing.T) {
+	var buf strings.Builder
+	rows := []Row{
+		{Scenario: "duration=3600", Scheme: "SoI", Seed: 1, PowerHourly: []float64{123.456789}},
+		{Scenario: "duration=7200", Scheme: "SoI", Seed: 1, PowerHourly: []float64{1234567, 0.5}},
+	}
+	if err := writePowerCSV(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	want := "hour,duration=3600/SoI/seed1,duration=7200/SoI/seed1\n" +
+		"0,123.457,1.23457e+06\n" +
+		"1,,0.5\n"
+	if buf.String() != want {
+		t.Errorf("power.csv:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}

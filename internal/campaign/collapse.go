@@ -153,7 +153,7 @@ func (geom *collapseGeometry) materialize(sp dsl.Spec, seed int64) error {
 	return nil
 }
 
-// BuildCollapsedScenario is BuildScenario's quotient counterpart for
+// BuildCollapsedScenario is CellConfig's quotient counterpart for
 // external harnesses (the analytic oracle's triangulation leg): it runs
 // the same eligibility analysis and materialization the campaign collapse
 // pass uses and returns the quotient trace, its edgeless topology, and

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 
-	"insomnia/internal/figures"
 	"insomnia/internal/runner"
 	"insomnia/internal/sim"
 )
@@ -339,19 +338,36 @@ func (p *Plan) writeResultsJSON(w io.Writer, rows []Row, failed []string) error 
 	return enc.Encode(resultsJSON{Campaign: p.Spec.Name, Hash: p.Hash, Cells: len(rows), Failed: failed, Rows: slim})
 }
 
-// writePowerCSV renders every cell's hourly mean power as one series
-// column over a shared hour axis, via the figures CSV writer.
+// writePowerCSV renders every cell's hourly mean power as one column over
+// a shared hour axis; a cell with a shorter horizon leaves its later hours
+// blank. Values print with 6 significant digits.
 func writePowerCSV(w io.Writer, rows []Row) error {
-	var series []figures.Series
+	g6 := func(x float64) string { return strconv.FormatFloat(x, 'g', 6, 64) }
+	cw := csv.NewWriter(w)
+	header := []string{"hour"}
+	hours := 0
 	for _, r := range rows {
-		s := figures.Series{Name: fmt.Sprintf("%s/%s/seed%d", r.Scenario, r.Scheme, r.Seed)}
-		for h, v := range r.PowerHourly {
-			s.X = append(s.X, float64(h))
-			s.Y = append(s.Y, v)
-		}
-		series = append(series, s)
+		header = append(header, fmt.Sprintf("%s/%s/seed%d", r.Scenario, r.Scheme, r.Seed))
+		hours = max(hours, len(r.PowerHourly))
 	}
-	return figures.WriteSeriesCSV(w, "hour", series)
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	for h := 0; h < hours; h++ {
+		rec := []string{g6(float64(h))}
+		for _, r := range rows {
+			v := ""
+			if h < len(r.PowerHourly) {
+				v = g6(r.PowerHourly[h])
+			}
+			rec = append(rec, v)
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 func fmtF(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }

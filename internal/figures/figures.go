@@ -3,8 +3,8 @@
 // returns plain data series so the CLI (cmd/figures), the benchmark harness
 // (bench_test.go) and the examples all share one implementation.
 //
-// See DESIGN.md's experiment index for the figure-by-figure mapping and
-// EXPERIMENTS.md for paper-vs-measured numbers.
+// cmd/figures lists the figure ids and writes one CSV per figure;
+// docs/SCHEMES.md defines the schemes the day figures compare.
 package figures
 
 import (
@@ -14,6 +14,7 @@ import (
 	"slices"
 
 	"insomnia/internal/analytic"
+	"insomnia/internal/campaign"
 	"insomnia/internal/crosstalk"
 	"insomnia/internal/dsl"
 	"insomnia/internal/runner"
@@ -31,41 +32,27 @@ type Series struct {
 	Err  []float64
 }
 
-// Scenario bundles the §5.1 simulation inputs.
-type Scenario struct {
-	Trace *trace.Trace
-	Topo  *topology.Topology
-	Seed  int64
-	// Shards is the engine shard count every run of this scenario uses
-	// (sim.Config.Shards); results are byte-identical at every value, so
-	// it only matters when the worker pool leaves cores idle.
-	Shards int
+// evalSpec is the §5.1 evaluation scenario as a one-cell campaign spec: a
+// UCSD-like office day with uniform client placement, 272 clients on 40
+// gateways, an overlap topology with 5.6 networks in range and the
+// paper's 4x12 shelf (campaign's default for 40 gateways).
+var evalSpec = dsl.Spec{
+	Schemes:  []string{sim.NoSleep.String()},
+	Trace:    dsl.TraceSpec{Profile: "office", Clients: 272, Gateways: 40},
+	Topology: dsl.TopoSpec{Kind: "overlap", MeanInRange: topology.DefaultMeanInRange},
 }
 
-// NewScenario builds the evaluation scenario: a UCSD-like day trace with
-// uniform client placement over a 40-gateway overlap topology with mean
-// in-range 5.6.
-func NewScenario(seed int64) (*Scenario, error) {
-	tr, err := trace.Generate(trace.DefaultSimConfig(seed))
-	if err != nil {
-		return nil, err
-	}
-	g, err := topology.OverlapGraph(tr.Cfg.APs, topology.DefaultMeanInRange, seed)
-	if err != nil {
-		return nil, err
-	}
-	tp, err := topology.FromOverlap(g, tr.ClientAP)
-	if err != nil {
-		return nil, err
-	}
-	return &Scenario{Trace: tr, Topo: tp, Seed: seed}, nil
+// NewScenario builds the evaluation scenario at seed: the sim.Config a
+// campaign cell of the office spec runs (campaign.CellConfig). RunDay
+// swaps in each scheme; set Shards on the result to shard every run.
+func NewScenario(seed int64) (sim.Config, error) {
+	return campaign.CellConfig(evalSpec, seed, sim.NoSleep)
 }
 
 // DayRuns holds one full-day simulation per scheme over a common scenario —
 // Figs 6, 7, 8, 9 and the §5.2.3 table all read from it.
 type DayRuns struct {
-	Scenario *Scenario
-	Results  map[sim.Scheme]*sim.Result
+	Results map[sim.Scheme]*sim.Result
 }
 
 // DefaultSchemes is the scheme set the paper's figures use.
@@ -74,28 +61,27 @@ var DefaultSchemes = []sim.Scheme{
 	sim.BH2KSwitch, sim.BH2FullSwitch, sim.BH2NoBackup, sim.Optimal,
 }
 
-// RunDay simulates the given schemes over one scenario, fanning out across
-// a GOMAXPROCS-wide worker pool (see RunDayWorkers). Pass nil for the
-// default scheme set.
-func RunDay(sc *Scenario, schemes []sim.Scheme) (*DayRuns, error) {
-	return RunDayWorkers(sc, schemes, 0)
+// RunDay simulates the given schemes over one scenario — base with its
+// scheme swapped — fanning out across a GOMAXPROCS-wide worker pool (see
+// RunDayWorkers). Pass nil for the default scheme set.
+func RunDay(base sim.Config, schemes []sim.Scheme) (*DayRuns, error) {
+	return RunDayWorkers(base, schemes, 0)
 }
 
 // RunDayWorkers is RunDay with an explicit worker count (<=0 uses
 // GOMAXPROCS; 1 recovers the fully serial path). All schemes share the
 // scenario's trace and topology read-only, and results are identical at
 // any width because each run's randomness is self-contained.
-func RunDayWorkers(sc *Scenario, schemes []sim.Scheme, workers int) (*DayRuns, error) {
+func RunDayWorkers(base sim.Config, schemes []sim.Scheme, workers int) (*DayRuns, error) {
 	if schemes == nil {
 		schemes = DefaultSchemes
 	}
-	base := sim.Config{Trace: sc.Trace, Topo: sc.Topo, Seed: sc.Seed, Shards: sc.Shards}
 	jobs := runner.SchemeJobs(base, schemes)
 	// Figs 6, 8 and the headline always need the no-sleep baseline.
 	if !slices.Contains(schemes, sim.NoSleep) {
 		jobs = append(jobs, runner.SchemeJobs(base, []sim.Scheme{sim.NoSleep})...)
 	}
-	out := &DayRuns{Scenario: sc, Results: map[sim.Scheme]*sim.Result{}}
+	out := &DayRuns{Results: map[sim.Scheme]*sim.Result{}}
 	for _, o := range (runner.Runner{Workers: workers}).Run(context.Background(), jobs) {
 		if o.Err != nil {
 			return nil, fmt.Errorf("figures: %w", o.Err) // runner names the scheme
@@ -252,7 +238,7 @@ func Fig8(runs *DayRuns) []Series {
 // Fig9a builds the CDF of flow-completion-time increase (%) vs no-sleep for
 // SoI, BH2 and BH2-without-backup, using the paper's accounting: only
 // wake-up stalls are charged (the paper's simulator did not model bandwidth
-// contention — see EXPERIMENTS.md). Fig9aContention gives the
+// contention). Fig9aContention gives the
 // full-contention variant.
 func Fig9a(runs *DayRuns) []Series {
 	return fig9aWith(runs, func(base, r *sim.Result, i int) (float64, bool) {

@@ -2,9 +2,11 @@ package figures
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"insomnia/internal/dsl"
 	"insomnia/internal/sim"
 	"insomnia/internal/topology"
 	"insomnia/internal/trace"
@@ -32,21 +34,49 @@ func tinyDay(t *testing.T) *DayRuns {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &Scenario{Trace: tr, Topo: tp, Seed: 3}
-	runs, err := RunDay(sc, []sim.Scheme{sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.BH2KSwitch, sim.BH2NoBackup})
+	runs, err := RunDay(sim.Config{Trace: tr, Topo: tp, Seed: 3}, []sim.Scheme{sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.BH2KSwitch, sim.BH2NoBackup})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return runs
 }
 
+// TestNewScenario pins the spec-built evaluation scenario to its direct
+// construction: the §5.1 office trace (trace.DefaultSimConfig) over a
+// 40-gateway overlap graph with 5.6 networks in range, on the paper's
+// shelf with k = 4.
 func TestNewScenario(t *testing.T) {
-	sc, err := NewScenario(1)
+	const seed = 1
+	cfg, err := NewScenario(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Trace.Cfg.Clients != 272 || sc.Topo.NumGateways != 40 {
-		t.Errorf("scenario shape: %d clients, %d gateways", sc.Trace.Cfg.Clients, sc.Topo.NumGateways)
+	tr, err := trace.Generate(trace.DefaultSimConfig(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := topology.OverlapGraph(40, 5.6, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := topology.FromOverlap(g, tr.ClientAP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Trace.Cfg.Clients != 272 || cfg.Topo.NumGateways != 40 {
+		t.Errorf("scenario shape: %d clients, %d gateways", cfg.Trace.Cfg.Clients, cfg.Topo.NumGateways)
+	}
+	if !reflect.DeepEqual(cfg.Trace.Flows, tr.Flows) || !reflect.DeepEqual(cfg.Trace.Keepalives, tr.Keepalives) {
+		t.Error("trace flows or keepalives differ from trace.DefaultSimConfig")
+	}
+	if !reflect.DeepEqual(cfg.Trace.ClientAP, tr.ClientAP) {
+		t.Error("client homes differ from trace.DefaultSimConfig")
+	}
+	if !reflect.DeepEqual(cfg.Topo, tp) {
+		t.Error("topology differs from OverlapGraph(40, 5.6) + FromOverlap")
+	}
+	if cfg.Seed != seed || cfg.DSLAM != dsl.EvalDSLAM || cfg.K != 4 || !cfg.Failures.Empty() {
+		t.Errorf("config: seed %d, shelf %+v, k %d, failures %+v", cfg.Seed, cfg.DSLAM, cfg.K, cfg.Failures)
 	}
 }
 
@@ -230,7 +260,7 @@ func TestRunDayWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := &Scenario{Trace: tr, Topo: tp, Seed: 4}
+	sc := sim.Config{Trace: tr, Topo: tp, Seed: 4}
 	schemes := []sim.Scheme{sim.NoSleep, sim.SoI, sim.BH2KSwitch}
 	serial, err := RunDayWorkers(sc, schemes, 1)
 	if err != nil {

@@ -25,8 +25,8 @@ const relTol = 1e-9
 // an ISP-energy floor, total energy at most the all-on ceiling, and FCT
 // at least the backhaul serialization delay with stall a component of
 // FCT. It returns one message per violation; empty means the run is
-// consistent. Exactness is not claimed — use Reference for that where
-// Supported.
+// consistent. Exactness is not claimed — use Reference for that on the
+// four uncoupled schemes paramsFor covers.
 func Invariants(cfg sim.Config, res *sim.Result) []string {
 	var bad []string
 	add := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }

@@ -10,41 +10,14 @@ import (
 )
 
 // harness.go drives the cross-check: build a scenario from a (tiny) DSL
-// spec, run the engine at several shard counts, compare each run against
+// spec through campaign.CellConfig — the exact sim.Config a campaign cell
+// runs — run the engine at several shard counts, compare each run against
 // the reference, and shrink failing specs by halving.
 
 // DefaultShards are the engine shard counts every check triangulates:
 // serial, and the two smallest sharded layouts (which exercise the epoch
 // fences, deferred sinks, and merge order).
 var DefaultShards = []int{1, 2, 3}
-
-// BuildConfig materializes a spec into the explicit sim.Config the
-// harness uses for both the engine and the reference: every default the
-// engine would fill (shelf shape, port wiring, timeouts, sample period)
-// is pinned here so the two sides cannot diverge on defaults.
-func BuildConfig(sp dsl.Spec, seed int64, sc sim.Scheme) (sim.Config, error) {
-	tr, tp, err := campaign.BuildScenario(sp, seed)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	cfg := sim.Config{
-		Trace: tr, Topo: tp,
-		DSLAM: dsl.EvalDSLAM, K: 4,
-		Scheme: sc, Seed: seed,
-		IdleTimeout: dsl.IdleTimeoutSeconds,
-		WakeDelay:   dsl.WakeSeconds,
-		SampleEvery: 1,
-	}
-	if tp.NumGateways > cfg.DSLAM.Ports() {
-		return sim.Config{}, fmt.Errorf("oracle: spec has %d gateways, shelf has %d ports", tp.NumGateways, cfg.DSLAM.Ports())
-	}
-	ports, err := dsl.RandomAssignment(cfg.DSLAM, tp.NumGateways, seed)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	cfg.PortOf = ports
-	return cfg, nil
-}
 
 // CheckConfig runs cfg through the engine at each shard count and
 // compares every run against the reference. It returns one message per
@@ -98,7 +71,7 @@ func (m *Mismatch) String() string {
 // reference disagree (nil when the oracle holds). A scenario that cannot
 // be built or run returns an error instead.
 func CheckSpec(sp dsl.Spec, seed int64, sc sim.Scheme, shards []int) (*Mismatch, error) {
-	cfg, err := BuildConfig(sp, seed, sc)
+	cfg, err := campaign.CellConfig(sp, seed, sc)
 	if err != nil {
 		return nil, err
 	}

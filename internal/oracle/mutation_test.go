@@ -3,6 +3,7 @@ package oracle
 import (
 	"testing"
 
+	"insomnia/internal/campaign"
 	"insomnia/internal/dsl"
 	"insomnia/internal/sim"
 	"insomnia/internal/stats"
@@ -18,7 +19,7 @@ func TestMutationIsCaught(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		sp := dsl.TinySpec(r)
 		seed := int64(1 + r.Intn(1<<20))
-		cfg, err := BuildConfig(sp, seed, sim.SoI)
+		cfg, err := campaign.CellConfig(sp, seed, sim.SoI)
 		if err != nil {
 			t.Fatal(err)
 		}

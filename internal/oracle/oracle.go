@@ -29,18 +29,6 @@ type Expected struct {
 	Wakeups int     // gateway Sleeping→Waking transitions
 }
 
-// Supported reports whether the exact reference interpreter covers the
-// scheme: the uncoupled ones, where every gateway's trajectory is a pure
-// function of its own clients' trace. Coupled schemes are checked with
-// Invariants instead.
-func Supported(sc sim.Scheme) bool {
-	switch sc {
-	case sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.SoIFullSwitch:
-		return true
-	}
-	return false
-}
-
 // schemeParams pins the scheme-dependent knobs the interpreter needs,
 // mirroring the engine's strategy plumbing (scheme_nosleep.go,
 // scheme_soi.go): initial device state, effective idle timeout, switch

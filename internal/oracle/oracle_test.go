@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"insomnia/internal/campaign"
 	"insomnia/internal/dsl"
 	"insomnia/internal/sim"
 	"insomnia/internal/stats"
@@ -79,7 +80,7 @@ func TestCoupledInvariants(t *testing.T) {
 			for i := 0; i < n; i++ {
 				sp := dsl.TinySpec(r)
 				seed := int64(1 + r.Intn(1<<20))
-				cfg, err := BuildConfig(sp, seed, sc)
+				cfg, err := campaign.CellConfig(sp, seed, sc)
 				if err != nil {
 					t.Fatalf("spec %d: %v", i, err)
 				}
@@ -118,7 +119,7 @@ func TestInvariantsHoldForExactSchemes(t *testing.T) {
 	r := stats.NewRNG(0x1d1e, 0x7e57)
 	sp := dsl.TinySpec(r)
 	for _, sc := range exactSchemes {
-		cfg, err := BuildConfig(sp, 11, sc)
+		cfg, err := campaign.CellConfig(sp, 11, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func TestInvariantsHoldForExactSchemes(t *testing.T) {
 // TestReferenceRejectsOutOfDomain pins the reference's domain errors.
 func TestReferenceRejectsOutOfDomain(t *testing.T) {
 	r := stats.NewRNG(0xd0, 0x7e57)
-	cfg, err := BuildConfig(dsl.TinySpec(r), 3, sim.BH2KSwitch)
+	cfg, err := campaign.CellConfig(dsl.TinySpec(r), 3, sim.BH2KSwitch)
 	if err != nil {
 		t.Fatal(err)
 	}

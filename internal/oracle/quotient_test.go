@@ -40,7 +40,7 @@ func TestQuotientTriangulation(t *testing.T) {
 			}
 			collapsed++
 
-			cfg, err := BuildConfig(sp, seed, scheme)
+			cfg, err := campaign.CellConfig(sp, seed, scheme)
 			if err != nil {
 				t.Fatalf("%v spec %d: %v", scheme, i, err)
 			}
@@ -55,8 +55,8 @@ func TestQuotientTriangulation(t *testing.T) {
 				t.Fatalf("%v spec %d (seed %d): full run diverged: %v", scheme, i, seed, diffs)
 			}
 			// Collapsed engine runs vs the same reference. The quotient
-			// shelf stays full-sized, so the full run's port wiring carries
-			// over unchanged. The engine expands scalars and per-device
+			// shelf stays full-sized, so the engine draws the full run's
+			// port wiring from the same seed. The engine expands scalars and per-device
 			// arrays back to the full shape, but leaves FCT/FlowStall in
 			// quotient flow order — those compare as a weight-expanded
 			// multiset instead.

@@ -281,15 +281,3 @@ func SchemeJobs(base sim.Config, schemes []sim.Scheme) []Job {
 	}
 	return jobs
 }
-
-// SeedJobs builds one job per seed over a shared read-only scenario — the
-// multi-seed sweeps the paper averages its day figures over.
-func SeedJobs(base sim.Config, seeds []int64) []Job {
-	jobs := make([]Job, len(seeds))
-	for i, seed := range seeds {
-		cfg := base
-		cfg.Seed = seed
-		jobs[i] = Job{Name: fmt.Sprintf("%v/seed%d", cfg.Scheme, seed), Config: cfg}
-	}
-	return jobs
-}

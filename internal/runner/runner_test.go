@@ -134,28 +134,6 @@ func TestEmptyAndDefaultPool(t *testing.T) {
 	}
 }
 
-func TestSeedJobsShareFixtures(t *testing.T) {
-	tr, tp := scenario(t, 25)
-	base := sim.Config{Trace: tr, Topo: tp, Scheme: sim.BH2KSwitch, K: 2}
-	jobs := SeedJobs(base, []int64{1, 2, 3})
-	for i, j := range jobs {
-		if j.Config.Trace != tr || j.Config.Topo != tp {
-			t.Fatalf("job %d does not share the scenario fixtures", i)
-		}
-		if j.Config.Seed != int64(i+1) {
-			t.Fatalf("job %d seed = %d", i, j.Config.Seed)
-		}
-	}
-	outs := Run(context.Background(), jobs)
-	if err := FirstErr(outs); err != nil {
-		t.Fatal(err)
-	}
-	// Different seeds must explore different randomness.
-	if outs[0].Result.Energy == outs[1].Result.Energy {
-		t.Error("seed sweep produced identical energy for different seeds")
-	}
-}
-
 // TestPanicRecovery pins the fault-tolerance contract: a panic inside a
 // job becomes an Outcome error carrying the panic value, the worker pool
 // survives, and jobs around the panic still produce results.

@@ -4,7 +4,7 @@
 // energy, online-device and QoS metrics for Figs 6-10 and the §5.2.3
 // line-card table.
 //
-// Model summary (see DESIGN.md for the full mapping):
+// Model summary (docs/SCHEMES.md has the per-scheme semantics):
 //
 //   - Flows share a gateway's backhaul by processor sharing, bounded by the
 //     client-gateway wireless rate; keepalives are instantaneous but reset
@@ -286,7 +286,7 @@ type Result struct {
 
 	// FlowStall[i] is the seconds flow i spent waiting for a waking
 	// gateway — the delay component the paper's Fig 9a charges (its
-	// simulator did not model bandwidth contention; see EXPERIMENTS.md).
+	// simulator did not model bandwidth contention).
 	FlowStall []float64
 
 	// GatewayOnTime[g] is gateway g's total non-sleeping seconds.
