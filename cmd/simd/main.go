@@ -17,21 +17,32 @@
 //
 // -budget caps concurrent simulations across all jobs. Job state lives
 // under -data; killing the server mid-campaign loses nothing — on restart
-// every unfinished job resumes from its manifest checkpoint.
+// every unfinished job resumes from its manifest checkpoint. SIGINT and
+// SIGTERM cancel the running jobs, drain open requests and exit 0.
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
+	"insomnia/internal/cli"
 	"insomnia/internal/runner"
 	"insomnia/internal/simd"
+)
+
+// Server timeouts. There is no write timeout: it would cut the SSE event
+// streams of long campaigns.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -41,16 +52,30 @@ func main() {
 	data := flag.String("data", "simd-data", "data directory (one subdirectory per job)")
 	budget := flag.Int("budget", 0, "max concurrent simulations across all jobs (0 = GOMAXPROCS)")
 	flag.Parse()
+	if err := cli.RejectArgs("simd", flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGTERM is what `docker stop` sends; both signals drain gracefully.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv, err := simd.New(ctx, *data, runner.NewBudget(*budget))
+	b := runner.NewBudget(*budget)
+	srv, err := simd.New(ctx, *data, b)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
 		// Jobs first: cancellation leaves their manifests resumable, and
 		// in-flight SSE streams end with the jobs. Then drain HTTP.
@@ -59,9 +84,12 @@ func main() {
 		defer cancel()
 		hs.Shutdown(shutdownCtx)
 	}()
-	log.Printf("listening on %s (data: %s, budget: %d)", *addr, *data, runner.NewBudget(*budget).Slots())
+	log.Printf("listening on %s (data: %s, budget: %d)", *addr, *data, b.Slots())
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+	// ListenAndServe returns as soon as Shutdown starts; wait for the
+	// drain to finish before exiting.
+	<-drained
 	log.Printf("shut down; unfinished jobs resume on restart")
 }

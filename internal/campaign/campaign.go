@@ -223,8 +223,8 @@ func fullScenario(sp dsl.Spec, seed int64, g *topology.Graph) (*trace.Trace, *to
 // under scheme sc, uncollapsed: the full trace and topology, the shelf,
 // k, idle timeout and failure plan, exactly as the campaign fills them.
 // It is the one spec-to-Config mapping; callers that need a single
-// simulation of a described scenario (the figures, the bench, the
-// insomnia CLI, the oracle) build it here instead of by hand. The spec is
+// simulation of a described scenario (the figures, the insomnia CLI,
+// the examples, the oracle) build it here instead of by hand. The spec is
 // normalized with WithDefaults; a spec with sweeps names no single cell.
 // Both validation failures wrap ErrSpecInvalid.
 func CellConfig(sp dsl.Spec, seed int64, sc sim.Scheme) (sim.Config, error) {

@@ -1,7 +1,7 @@
 // Package cli holds the small shared command-line conventions of the
 // cmd/* tools. The one rule it currently enforces: a command that takes
 // no positional arguments must reject stray ones loudly (usage + exit 2)
-// instead of silently running its defaults — `bench tyop` looking exactly
+// instead of silently running its defaults — `figures tyop` looking exactly
 // like a successful default run is how typo'd CI steps go green.
 package cli
 

@@ -1,118 +1,16 @@
-// Package perf is the repository's performance harness. It provides two
-// things:
-//
-//   - pprof plumbing (-cpuprofile / -memprofile) shared by the CLIs, so
-//     hot-path work is measurable outside `go test -bench`;
-//   - the benchmark-trajectory format: cmd/bench measures macro scenarios
-//     (the §5 scheme comparison, the 10k-gateway city run) and writes a
-//     BENCH_<date>.json, committed to the repository so successive PRs
-//     leave comparable performance records instead of anecdotes.
+// Package perf is pprof plumbing for the CLIs: the -cpuprofile and
+// -memprofile flags of cmd/figures and cmd/insomnia, so hot-path work is
+// measurable outside `go test -bench`. The repository's benchmark is
+// perfbench/ (see README "Benchmark").
 package perf
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sync"
-	"time"
 )
-
-// Entry records one measured scenario.
-type Entry struct {
-	Name        string  `json:"name"`
-	Scenario    string  `json:"scenario"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// AllocBytes is the heap allocated during the measurement (cumulative
-	// allocation, not live heap), from runtime.MemStats.TotalAlloc.
-	AllocBytes uint64 `json:"alloc_bytes"`
-	// Metrics carries scenario-defined result values (savings, event
-	// counts, ...) so a trajectory entry is interpretable on its own.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Report is one benchmark-trajectory record.
-type Report struct {
-	Date       string  `json:"date"`
-	GoVersion  string  `json:"go_version"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Entries    []Entry `json:"entries"`
-}
-
-// NewReport stamps a report for the given date (YYYY-MM-DD).
-func NewReport(date string) *Report {
-	return &Report{
-		Date:       date,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-}
-
-// Parallelism annotates an entry's metrics with the execution-width
-// context needed to interpret a trajectory point later: the engine shard
-// count the scenario ran with and GOMAXPROCS at measure time. A sharded
-// entry recorded on a one-core machine (shards > gomaxprocs) shows no
-// speedup by construction; recording both makes that readable from the
-// committed trajectory instead of folklore. Returns m for call-site
-// chaining; a nil m is allocated.
-func Parallelism(m map[string]float64, shards int) map[string]float64 {
-	if m == nil {
-		m = make(map[string]float64, 2)
-	}
-	m["shards"] = float64(shards)
-	m["gomaxprocs"] = float64(runtime.GOMAXPROCS(0))
-	return m
-}
-
-// Measure times fn and appends an Entry; fn returns the scenario metrics to
-// record. Wall time and allocation are measured around the call.
-func (r *Report) Measure(name, scenario string, fn func() (map[string]float64, error)) error {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	metrics, err := fn()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return fmt.Errorf("perf: %s: %w", name, err)
-	}
-	r.Entries = append(r.Entries, Entry{
-		Name:        name,
-		Scenario:    scenario,
-		WallSeconds: wall.Seconds(),
-		AllocBytes:  after.TotalAlloc - before.TotalAlloc,
-		Metrics:     metrics,
-	})
-	return nil
-}
-
-// WriteFile writes the report as indented JSON.
-func (r *Report) WriteFile(path string) error {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// ReadFile loads a previously written report.
-func ReadFile(path string) (*Report, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(buf, &r); err != nil {
-		return nil, fmt.Errorf("perf: %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// DefaultPath names a trajectory file for the given time: BENCH_<date>.json.
-func DefaultPath(t time.Time) string {
-	return fmt.Sprintf("BENCH_%s.json", t.Format("2006-01-02"))
-}
 
 // Profile starts an optional CPU profile and arranges an optional heap
 // profile — the shared -cpuprofile/-memprofile plumbing of the CLIs. The
@@ -122,7 +20,7 @@ func DefaultPath(t time.Time) string {
 // reported on stderr rather than returned: by cleanup time the measured
 // work has already happened and must not be discarded.
 func Profile(cpuPath, memPath string) (cleanup func(), err error) {
-	stop, err := StartCPUProfile(cpuPath)
+	stop, err := startCPUProfile(cpuPath)
 	if err != nil {
 		return nil, err
 	}
@@ -130,18 +28,17 @@ func Profile(cpuPath, memPath string) (cleanup func(), err error) {
 	return func() {
 		once.Do(func() {
 			stop()
-			if err := WriteHeapProfile(memPath); err != nil {
+			if err := writeHeapProfile(memPath); err != nil {
 				fmt.Fprintln(os.Stderr, "perf:", err)
 			}
 		})
 	}, nil
 }
 
-// StartCPUProfile begins a CPU profile at path and returns the stop
-// function. An empty path is a no-op (so CLIs can pass the flag through
-// unconditionally). stop is idempotent: callers may both defer it and call
-// it explicitly before exiting early.
-func StartCPUProfile(path string) (stop func(), err error) {
+// startCPUProfile begins a CPU profile at path and returns the stop
+// function. An empty path is a no-op, so Profile can pass the flag
+// through unconditionally. stop is idempotent.
+func startCPUProfile(path string) (stop func(), err error) {
 	if path == "" {
 		return func() {}, nil
 	}
@@ -162,9 +59,9 @@ func StartCPUProfile(path string) (stop func(), err error) {
 	}, nil
 }
 
-// WriteHeapProfile writes a heap profile to path after a GC, so the profile
+// writeHeapProfile writes a heap profile to path after a GC, so the profile
 // reflects live objects. An empty path is a no-op.
-func WriteHeapProfile(path string) error {
+func writeHeapProfile(path string) error {
 	if path == "" {
 		return nil
 	}

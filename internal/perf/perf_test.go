@@ -1,83 +1,27 @@
 package perf
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
-func TestMeasureAndRoundTrip(t *testing.T) {
-	r := NewReport("2026-07-29")
-	err := r.Measure("toy", "unit-test", func() (map[string]float64, error) {
-		s := 0.0
-		for i := 0; i < 1000; i++ {
-			s += float64(i)
-		}
-		return map[string]float64{"sum": s}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Entries) != 1 || r.Entries[0].WallSeconds < 0 {
-		t.Fatalf("bad entry: %+v", r.Entries)
-	}
-	if r.Entries[0].Metrics["sum"] != 499500 {
-		t.Errorf("metrics lost: %v", r.Entries[0].Metrics)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := r.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Date != r.Date || len(back.Entries) != 1 || back.Entries[0].Name != "toy" {
-		t.Fatalf("round trip mangled report: %+v", back)
-	}
-	if back.GoVersion == "" || back.GOMAXPROCS < 1 {
-		t.Errorf("environment fields missing: %+v", back)
-	}
-}
-
-func TestMeasureError(t *testing.T) {
-	r := NewReport("2026-07-29")
-	err := r.Measure("boom", "unit-test", func() (map[string]float64, error) {
-		return nil, fmt.Errorf("scenario failed")
-	})
-	if err == nil {
-		t.Fatal("error swallowed")
-	}
-	if len(r.Entries) != 0 {
-		t.Fatal("failed measurement recorded")
-	}
-}
-
-func TestDefaultPath(t *testing.T) {
-	ts := time.Date(2026, 7, 29, 12, 0, 0, 0, time.UTC)
-	if got := DefaultPath(ts); got != "BENCH_2026-07-29.json" {
-		t.Errorf("DefaultPath = %q", got)
-	}
-}
-
 func TestProfileHelpers(t *testing.T) {
-	stop, err := StartCPUProfile("")
+	stop, err := startCPUProfile("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop() // no-op path must be safe
 	dir := t.TempDir()
-	stop, err = StartCPUProfile(filepath.Join(dir, "cpu.out"))
+	stop, err = startCPUProfile(filepath.Join(dir, "cpu.out"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop()
 	stop() // idempotent: deferred + explicit stop must both be safe
-	if err := WriteHeapProfile(filepath.Join(dir, "mem.out")); err != nil {
+	if err := writeHeapProfile(filepath.Join(dir, "mem.out")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteHeapProfile(""); err != nil {
+	if err := writeHeapProfile(""); err != nil {
 		t.Fatal(err)
 	}
 }

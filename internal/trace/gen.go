@@ -164,7 +164,9 @@ func DefaultSimConfig(seed int64) Config {
 // "continuous light traffic" is exactly what the engine's hot path has to
 // survive at scale — and uses moderate per-client skew. Pair it with
 // topology.GridCity (OverlapGraph does not scale to 10k gateways) and
-// override Duration for bounded benchmark runs; see cmd/bench.
+// override Duration for bounded runs. Campaign specs with the
+// residential-derived profiles start from it; perfbench's metro-shuffled
+// workload runs it at full size.
 func DefaultCityConfig(seed int64) Config {
 	return Config{
 		Clients: 100_000, APs: 10_000, Profile: ResidentialProfile, Seed: seed,
