@@ -158,6 +158,9 @@ type Decision struct {
 // load-proportional candidate choice.
 func Decide(r *rand.Rand, p Params, home, current int, views []GatewayView) Decision {
 	cur, curSeen := find(views, current)
+	// Candidate sets fit this stack buffer for any realistic neighborhood,
+	// so a decision allocates nothing; larger ones spill to the heap.
+	var buf [smallSet]GatewayView
 
 	if current == home {
 		// Home case: only consider hitch-hiking when home is so lightly
@@ -165,7 +168,7 @@ func Decide(r *rand.Rand, p Params, home, current int, views []GatewayView) Deci
 		if curSeen && cur.Load >= p.Low {
 			return Decision{Action: Stay, Reason: HomeBusy}
 		}
-		cands := candidates(views, p, home, current)
+		cands := candidates(buf[:0], views, p, home, current)
 		if len(cands) > p.Backup {
 			return Decision{Action: Move, Target: pick(r, cands), Reason: Hitched}
 		}
@@ -177,7 +180,7 @@ func Decide(r *rand.Rand, p Params, home, current int, views []GatewayView) Deci
 		// The remote gateway vanished (slept or out of range). A terminal
 		// scans before it resorts to waking its home gateway: if enough
 		// candidates beacon in range it hitches onto one instead.
-		cands := candidates(views, p, home, current)
+		cands := candidates(buf[:0], views, p, home, current)
 		if len(cands) >= p.Backup+1 {
 			return Decision{Action: Move, Target: pick(r, cands), Reason: Hitched}
 		}
@@ -191,7 +194,7 @@ func Decide(r *rand.Rand, p Params, home, current int, views []GatewayView) Deci
 		return Decision{Action: Stay, Reason: RemoteHealthy}
 	}
 	// Remote load below low: consolidate onto a busier ride if one exists.
-	cands := candidates(views, p, home, current)
+	cands := candidates(buf[:0], views, p, home, current)
 	if len(cands) >= p.Backup+1 {
 		return Decision{Action: Move, Target: pick(r, cands), Reason: Hitched}
 	}
@@ -209,8 +212,8 @@ func Decide(r *rand.Rand, p Params, home, current int, views []GatewayView) Deci
 // a gateway whose load exceeds the low threshold OR that transmitted
 // anything during the estimation window will not hit its idle timeout; one
 // that has been completely silent will.
-func candidates(views []GatewayView, p Params, home, current int) []GatewayView {
-	var out []GatewayView
+// The set is appended to out, which is returned.
+func candidates(out, views []GatewayView, p Params, home, current int) []GatewayView {
 	for _, v := range views {
 		if !v.Awake || v.ID == current || v.ID == home {
 			continue
@@ -229,12 +232,16 @@ func candidates(views []GatewayView, p Params, home, current int) []GatewayView 
 // small floor keeps active-but-nearly-idle gateways selectable; the
 // proportionality is what herds hitch-hikers onto already-busy gateways.
 func pick(r *rand.Rand, cands []GatewayView) int {
-	w := make([]float64, len(cands))
-	for i, c := range cands {
-		w[i] = c.Load + 0.01
+	var buf [smallSet]float64
+	w := buf[:0]
+	for _, c := range cands {
+		w = append(w, c.Load+0.01)
 	}
 	return cands[stats.WeightedChoice(r, w)].ID
 }
+
+// smallSet sizes Decide's and pick's stack buffers.
+const smallSet = 16
 
 func find(views []GatewayView, id int) (GatewayView, bool) {
 	for _, v := range views {

@@ -305,3 +305,47 @@ func TestNextDecisionTimeJitter(t *testing.T) {
 		t.Error("jitter not spread")
 	}
 }
+
+// TestDecideDoesNotAllocate pins the zero-allocation contract of a
+// decision: candidates and pick weights live in stack buffers for
+// neighborhoods of up to 8 gateways, in every branch that builds a
+// candidate set (idle home, vanished remote, draining remote).
+func TestDecideDoesNotAllocate(t *testing.T) {
+	r := stats.NewRNG(3, 0)
+	p := DefaultParams()
+	for n := 1; n <= 8; n++ {
+		views := make([]GatewayView, n)
+		for i := range views {
+			views[i] = GatewayView{ID: i, Load: 0.05 * float64(i), Awake: true, Active: true}
+		}
+		for _, current := range []int{0, n - 1, n} { // home, remote, vanished remote
+			allocs := testing.AllocsPerRun(100, func() {
+				Decide(r, p, 0, current, views)
+			})
+			if allocs != 0 {
+				t.Errorf("%d views, current %d: Decide allocates %.1f times, want 0", n, current, allocs)
+			}
+		}
+	}
+}
+
+// TestDecideLargeNeighborhood covers candidate sets past the stack
+// buffers: every candidate stays selectable.
+func TestDecideLargeNeighborhood(t *testing.T) {
+	r := stats.NewRNG(4, 0)
+	views := []GatewayView{{ID: 0, Load: 0, Awake: true}}
+	for id := 1; id <= 3*smallSet; id++ {
+		views = append(views, GatewayView{ID: id, Load: 0.2, Awake: true})
+	}
+	seen := map[int]bool{}
+	for i := 0; i < 2000; i++ {
+		d := Decide(r, p0(), 0, 0, views)
+		if d.Action != Move || d.Target < 1 || d.Target > 3*smallSet {
+			t.Fatalf("decision %+v, want a move to one of the %d candidates", d, 3*smallSet)
+		}
+		seen[d.Target] = true
+	}
+	if len(seen) != 3*smallSet {
+		t.Errorf("only %d of %d candidates ever picked", len(seen), 3*smallSet)
+	}
+}

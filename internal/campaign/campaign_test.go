@@ -194,19 +194,62 @@ func TestArtifactsDeterministicAcrossShards(t *testing.T) {
 
 func TestEngineShards(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
+	city := 1 << 20 // gateways enough for a lane per core
 	cases := []struct {
-		override, spec, workers, cells, want int
+		override, spec, workers, cells, gateways, want int
 	}{
-		{5, 2, 0, 100, 5},                         // CLI override wins
-		{0, 2, 0, 100, 2},                         // then the spec's shards key
-		{0, 0, maxprocs, 100, 1},                  // auto: saturated pool -> serial sims
-		{0, 0, 1, 100, max(1, maxprocs)},          // auto: serial pool -> shard over all cores
-		{0, 0, maxprocs * 2, 1, max(1, maxprocs)}, // auto: one cell -> all cores
+		{5, 2, 0, 100, city, 5},                                       // CLI override wins
+		{0, 2, 0, 100, city, 2},                                       // then the spec's shards key
+		{0, 0, maxprocs, 100, city, 1},                                // auto: saturated pool -> serial sims
+		{0, 0, 1, 100, city, max(1, maxprocs)},                        // auto: serial pool -> shard over all cores
+		{0, 0, maxprocs * 2, 1, city, max(1, maxprocs)},               // auto: one cell -> all cores
+		{0, 0, 1, 1, 3, 1},                                            // auto: a 3-class quotient stays serial
+		{0, 0, 1, 1, 2*minLaneGateways + 1, min(2, max(1, maxprocs))}, // auto: lanes capped by size
+		{2, 0, 1, 1, 3, 2},                                            // an explicit override still shards it
+		{0, 2, 1, 1, 3, 2},                                            // and so does the spec key
 	}
 	for _, tc := range cases {
-		if got := engineShards(tc.override, tc.spec, tc.workers, tc.cells); got != tc.want {
-			t.Errorf("engineShards(%d, %d, %d, %d) = %d, want %d",
-				tc.override, tc.spec, tc.workers, tc.cells, got, tc.want)
+		if got := engineShards(tc.override, tc.spec, tc.workers, tc.cells, tc.gateways); got != tc.want {
+			t.Errorf("engineShards(%d, %d, %d, %d, %d) = %d, want %d",
+				tc.override, tc.spec, tc.workers, tc.cells, tc.gateways, got, tc.want)
+		}
+	}
+}
+
+// TestQuotientCellShards runs a symmetric grid that collapses to 3
+// gateway classes: under auto sharding its cell runs serially however many
+// cores are idle, and an explicit -shards 2 still hands it 2 lanes.
+func TestQuotientCellShards(t *testing.T) {
+	spec := dsl.Spec{
+		Name:     "tiny-quotient",
+		Schemes:  []string{"SoI"},
+		Seeds:    []int64{1},
+		Duration: 3600,
+		Trace: dsl.TraceSpec{
+			Profile: "residential", Clients: 64, Gateways: 16,
+			Placement: "symmetric",
+		},
+		Topology: dsl.TopoSpec{Kind: "grid-city", MeanInRange: 4},
+		Outputs:  []string{"summary"},
+	}
+	for _, tc := range []struct{ override, want int }{{0, 1}, {2, 2}} {
+		var got sim.Config
+		exec := func(_ context.Context, cfg sim.Config) (*sim.Result, error) {
+			got = cfg
+			return sim.Run(cfg)
+		}
+		p, err := Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runPlan(p, Options{Workers: 1, Shards: tc.override, OutDir: t.TempDir(), Collapse: "auto", exec: exec}); err != nil {
+			t.Fatal(err)
+		}
+		if got.Quotient == nil || got.Topo.NumGateways != 3 {
+			t.Fatalf("cell did not collapse to 3 classes (quotient %v, %d gateways)", got.Quotient != nil, got.Topo.NumGateways)
+		}
+		if got.Shards != tc.want {
+			t.Errorf("-shards %d: quotient cell got %d shards, want %d", tc.override, got.Shards, tc.want)
 		}
 	}
 }

@@ -291,7 +291,7 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 		mode := collapseMode(opts.Collapse, v.Collapse)
 		collapsed[i] = mode == "auto" && schemeCollapsible(c.Scheme) && f.geom != nil
 		cfg := simConfig(v, f, c, collapsed[i])
-		cfg.Shards = engineShards(opts.Shards, v.Shards, opts.Workers, len(pending))
+		cfg.Shards = engineShards(opts.Shards, v.Shards, opts.Workers, len(pending), cfg.Topo.NumGateways)
 		jobs[i] = runner.Job{Name: c.Key(), Config: cfg}
 	}
 	withPower := p.Spec.HasOutput("power")

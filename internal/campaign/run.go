@@ -33,8 +33,8 @@ type Options struct {
 	// Shards overrides the engine shard count of every simulation
 	// (sim.Config.Shards); 0 defers to the spec's shards key, and when
 	// that is auto too the campaign shards each simulation over the cores
-	// the worker pool leaves idle (see engineShards). Results are
-	// byte-identical at every value.
+	// the worker pool leaves idle, as far as its size pays for them (see
+	// engineShards). Results are byte-identical at every value.
 	Shards int
 	// OutDir receives the manifest and artifacts. Required.
 	OutDir string
@@ -93,12 +93,21 @@ func firstLine(s string) string {
 	return s
 }
 
+// minLaneGateways is the fewest simulated gateways an automatically
+// sized engine lane gets. Each lane meets the others at a barrier every
+// simulated second, which a small lane's work cannot pay for: on a
+// 2-core host a 40-gateway office day ran twice as long at 2 shards as at
+// 1, a 1000-gateway city 30% longer, and 3000 gateways broke even.
+const minLaneGateways = 1024
+
 // engineShards resolves one simulation's engine shard count: an explicit
 // run-time override wins, then the spec's shards key; when both are auto
 // the campaign gives each simulation only the cores its worker pool
 // leaves idle — with enough cells, cell-level parallelism already
-// saturates the machine and intra-sim sharding would just oversubscribe.
-func engineShards(override, spec, workers, cells int) int {
+// saturates the machine and intra-sim sharding would just oversubscribe —
+// and no more lanes than its gateways fill (minLaneGateways each).
+// gateways counts the simulated gateways: a collapsed cell's classes.
+func engineShards(override, spec, workers, cells, gateways int) int {
 	if override > 0 {
 		return override
 	}
@@ -111,7 +120,11 @@ func engineShards(override, spec, workers, cells int) int {
 	if cells > 0 && cells < workers {
 		workers = cells
 	}
-	if per := runtime.GOMAXPROCS(0) / workers; per >= 2 {
+	per := runtime.GOMAXPROCS(0) / workers
+	if limit := gateways / minLaneGateways; per > limit {
+		per = limit
+	}
+	if per >= 2 {
 		return per
 	}
 	return 1

@@ -72,8 +72,9 @@ type Spec struct {
 	// Shards is the engine shard count per simulation (sim.Config.Shards).
 	// 0 (the default) lets the campaign choose: cells saturate the worker
 	// pool first, and each simulation shards over whatever cores the pool
-	// leaves idle. Results are byte-identical at every value, so the key
-	// trades wall-clock only, never fidelity.
+	// leaves idle, with at least 1024 simulated gateways per shard.
+	// Results are byte-identical at every value, so the key trades
+	// wall-clock only, never fidelity.
 	Shards int `json:"shards,omitempty"`
 	// Workers caps the campaign's concurrent simulations for this spec.
 	// 0 (the default, kept unfilled so pre-existing spec hashes are

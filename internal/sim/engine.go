@@ -74,7 +74,7 @@ func (s *sim) stepLane(sh *shard, fence float64) bool {
 	tNext := math.Inf(1)
 	src := -1 // 0=heap 1=flow 2=keepalive
 	if sh.h.len() > 0 {
-		if e := &sh.h.ev[0]; e.t < fence || (e.t == fence && e.seq <= sh.fenceSeq) {
+		if e := &sh.h.ev[0]; sh.admits(e, fence) {
 			tNext, src = e.t, 0
 		}
 	}
@@ -130,8 +130,14 @@ func (s *sim) stepLane(sh *shard, fence float64) bool {
 	return true
 }
 
+// admits reports whether heap event e runs in the current phase, whose
+// fence time is fence (the tie rule above).
+func (sh *shard) admits(e *event, fence float64) bool {
+	return e.t < fence || (e.t == fence && e.seq() <= sh.fenceSeq)
+}
+
 func (s *sim) handle(sh *shard, e event) {
-	switch e.kind {
+	switch e.kind() {
 	case evComplete:
 		g := &s.gws[e.a]
 		if e.aux != g.complEpoch {
@@ -149,11 +155,11 @@ func (s *sim) handle(sh *shard, e event) {
 		}
 		s.gwCheck(sh, g)
 	case evDecide:
-		s.strat.onDecide(s, e.a)
+		s.strat.onDecide(s, int(e.a))
 	case evTick:
 		s.tick()
 		if t := s.now + s.cfg.SampleEvery; t <= s.end {
-			s.push(event{t: t, kind: evTick})
+			s.push(t, evTick, 0, 0)
 		}
 		if s.hasFailures {
 			// Arm the failure events due before the next tick. Chaining the
@@ -167,7 +173,7 @@ func (s *sim) handle(sh *shard, e event) {
 		// second periodic chain.
 		if e.aux == 0 {
 			if t := s.now + s.cfg.OptimalEvery; t <= s.end {
-				s.push(event{t: t, kind: evResolve})
+				s.push(t, evResolve, 0, 0)
 			}
 		}
 	case evFail:
@@ -249,7 +255,7 @@ func (s *sim) touch(sh *shard, g *gateway, t float64) {
 func (s *sim) armGwCheck(sh *shard, g *gateway) {
 	if next := g.ctl.NextTransition(); !math.IsInf(next, 1) && next < g.checkAt {
 		g.checkAt = next
-		sh.push(event{t: next, kind: evGwCheck, a: g.id})
+		sh.push(next, evGwCheck, g.id, 0)
 	}
 }
 
@@ -429,7 +435,7 @@ func (s *sim) reapCompleted(sh *shard, g *gateway) {
 // rate-capped arrivals) already pay an O(flows) elapse, so the fallback
 // scan never changes the asymptotics.
 func (s *sim) scheduleCompletion(sh *shard, g *gateway) {
-	g.complEpoch++
+	g.bumpEpoch()
 	if len(g.flows) == 0 || !g.ctl.Awake() {
 		return
 	}
@@ -463,7 +469,7 @@ func (s *sim) scheduleCompletion(sh *shard, g *gateway) {
 	if tMin < 1e-9 {
 		tMin = 1e-9 // keep the clock moving even for sub-byte remainders
 	}
-	sh.push(event{t: sh.now + tMin, kind: evComplete, a: g.id, aux: g.complEpoch})
+	sh.push(sh.now+tMin, evComplete, g.id, g.complEpoch)
 }
 
 // ---- traffic entry points ----

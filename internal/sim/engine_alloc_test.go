@@ -53,3 +53,43 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state event processing allocates %.2f times per event, want ~0", allocs)
 	}
 }
+
+// TestBH2EventLoopSteadyStateAllocs is the BH²+k-switch counterpart of the
+// SoI event-loop test, with terminal decisions in the measured window:
+// views, candidate sets and pick weights all come from reused scratch, so
+// a steady-state decision allocates nothing either.
+func TestBH2EventLoopSteadyStateAllocs(t *testing.T) {
+	var keeps []trace.Packet
+	for ts := 10.0; ts < 3900; ts += 5 {
+		keeps = append(keeps, trace.Packet{T: ts, Client: int32(int(ts) % 4), Bytes: 100})
+	}
+	s := handSim(t, BH2KSwitch, nil, keeps)
+	for i := 0; i < 400; i++ {
+		if !s.step() {
+			t.Fatal("trace exhausted during warm-up")
+		}
+	}
+	decisions := func() int {
+		n := 0
+		for _, c := range s.reasons {
+			n += c
+		}
+		return n
+	}
+	// AllocsPerRun reports a whole-number average per run, so one run
+	// covers a block of events: any allocation in it shows.
+	const block = 500
+	before := decisions()
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < block; i++ {
+			s.step()
+		}
+	})
+	t.Logf("%d decisions in the measured blocks", decisions()-before)
+	if decisions() == before {
+		t.Fatal("no BH² decision ran in the measured window")
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state BH² event processing allocates %.0f times per %d events, want 0", allocs, block)
+	}
+}

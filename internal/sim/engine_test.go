@@ -263,14 +263,18 @@ func TestPendingHomeUnmarkSwapRemove(t *testing.T) {
 
 func TestEventHeapOrdering(t *testing.T) {
 	var sh shard
-	sh.push(event{t: 5, kind: evTick})
-	sh.push(event{t: 1, kind: evTick})
-	sh.push(event{t: 5, kind: evGwCheck}) // same time: FIFO by seq
+	sh.push(5, evTick, 0, 0)
+	sh.push(1, evTick, 0, 0)
+	sh.push(5, evGwCheck, 0, 0) // same time: FIFO by seq
 	if sh.h.ev[0].t != 1 {
 		t.Fatal("heap not ordered by time")
 	}
 	first := sh.h.ev[0]
-	if first.kind != evTick {
+	if first.kind() != evTick {
 		t.Fatal("wrong head")
+	}
+	sh.h.pop()
+	if e := sh.h.pop(); e.t != 5 || e.kind() != evTick {
+		t.Fatalf("time tie not FIFO: popped kind %d at %v first", e.kind(), e.t)
 	}
 }

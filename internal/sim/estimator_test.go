@@ -6,19 +6,19 @@ import (
 )
 
 // estimatorFed counts the gateways whose estimator still shows an SN
-// observation at the end of the run: primed, or holding samples. The
-// fields are unexported in package wifi, so the probe reads them through
-// reflection rather than widening the estimator's API for a test.
+// observation at the end of the run: primed, or holding samples in its
+// ring. The fields are unexported in package wifi, so the probe reads them
+// through reflection rather than widening the estimator's API for a test.
 func estimatorFed(t *testing.T, s *sim) int {
 	t.Helper()
 	fed := 0
 	for i := range s.gws {
 		v := reflect.ValueOf(s.gws[i].est).Elem()
-		primed, samples := v.FieldByName("primed"), v.FieldByName("samples")
-		if !primed.IsValid() || !samples.IsValid() {
-			t.Fatal("wifi.LoadEstimator no longer has primed/samples fields; update the probe")
+		primed, count := v.FieldByName("primed"), v.FieldByName("count")
+		if !primed.IsValid() || !count.IsValid() {
+			t.Fatal("wifi.LoadEstimator no longer has primed/count fields; update the probe")
 		}
-		if primed.Bool() || samples.Len() > 0 {
+		if primed.Bool() || count.Int() > 0 {
 			fed++
 		}
 	}

@@ -223,7 +223,7 @@ func (s *sim) armFailures(upTo float64) {
 		if fe.up {
 			kind = evRecover
 		}
-		s.push(event{t: fe.t, kind: kind, a: int(fe.gw)})
+		s.push(fe.t, kind, int(fe.gw), 0)
 		s.failIdx++
 	}
 }
@@ -266,7 +266,7 @@ func (s *sim) failGateway(g *gateway, now float64) {
 	}
 	g.flows = g.flows[:0]
 	g.flowsGen++
-	g.complEpoch++ // orphan any scheduled completion check
+	g.bumpEpoch() // orphan any scheduled completion check
 	if g.ctl.Fail(now) != power.Sleeping {
 		// The line was active: modem drops and the switch fabric sees the
 		// line go inactive, exactly as a voluntary sleep would.
@@ -396,5 +396,5 @@ func scheduleFailureResolve(s *sim) {
 		return
 	}
 	s.lastFailResolve = s.now
-	s.push(event{t: s.now, kind: evResolve, aux: 1})
+	s.push(s.now, evResolve, 0, 1)
 }

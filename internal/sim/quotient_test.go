@@ -166,6 +166,19 @@ func TestQuotientSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareResults(t, full, quot)
+		// The engine never caps an explicit shard count beyond one lane
+		// per gateway: the quotient's few classes still run sharded.
+		cfg, err := qcfg.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := newSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(shards, qcfg.Topo.NumGateways); len(s.shards) != want {
+			t.Errorf("shards=%d on %d classes: %d lanes, want %d", shards, qcfg.Topo.NumGateways, len(s.shards), want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"insomnia/internal/bh2"
 	"insomnia/internal/kswitch"
 	"insomnia/internal/power"
@@ -30,11 +32,14 @@ func (bh2Scheme) parallelMode() engineMode { return modeTick }
 func (bh2Scheme) usesEstimator() bool { return true }
 
 // seedEvents spreads the first decision of every terminal uniformly over
-// one period so the population never decides in lockstep.
+// one period so the population never decides in lockstep. It sizes the
+// heap up front for one pending decision per terminal plus a completion
+// and a state check per gateway.
 func (sc bh2Scheme) seedEvents(s *sim) {
+	s.main.h.ev = slices.Grow(s.main.h.ev, len(s.clients)+2*len(s.gws))
 	r := stats.NewRNG(s.cfg.Seed, 0x0ff5e7)
 	for c := range s.clients {
-		s.push(event{t: r.Float64() * s.cfg.BH2.PeriodSec, kind: evDecide, a: c})
+		s.push(r.Float64()*s.cfg.BH2.PeriodSec, evDecide, c, 0)
 	}
 }
 
@@ -51,15 +56,15 @@ func (sc bh2Scheme) route(s *sim, c int) int {
 
 func (sc bh2Scheme) onDecide(s *sim, c int) {
 	sc.decide(s, c)
-	s.push(event{t: bh2.NextDecisionTime(s.decRNG, s.cfg.BH2, s.now), kind: evDecide, a: c})
+	s.push(bh2.NextDecisionTime(s.decRNG, s.cfg.BH2, s.now), evDecide, c, 0)
 }
 
 // views assembles what terminal c can passively observe (§3.2): awake
-// gateways in range with their estimated loads.
+// gateways in range with their estimated loads. The slice is s.viewBuf,
+// valid until the next call.
 func (sc bh2Scheme) views(s *sim, c int) []bh2.GatewayView {
-	rng := s.cfg.Topo.InRange(c)
-	out := make([]bh2.GatewayView, 0, len(rng))
-	for _, gw := range rng {
+	out := s.viewBuf[:0]
+	for _, gw := range s.cfg.Topo.InRange(c) {
 		g := &s.gws[gw]
 		out = append(out, bh2.GatewayView{
 			ID:     gw,
@@ -68,6 +73,7 @@ func (sc bh2Scheme) views(s *sim, c int) []bh2.GatewayView {
 			Active: g.est.ActiveWithin(s.now, s.cfg.BH2.EstWindow),
 		})
 	}
+	s.viewBuf = out
 	return out
 }
 
@@ -78,12 +84,8 @@ func (sc bh2Scheme) decide(s *sim, c int) {
 	if s.now-s.lastTraffic[c] > 2*s.cfg.BH2.EstWindow {
 		return
 	}
-	views := sc.views(s, c)
-	d := bh2.Decide(s.decRNG, s.cfg.BH2, s.clients[c].home, s.clients[c].assigned, views)
-	if s.cfg.DebugDecisions != nil {
-		s.cfg.DebugDecisions(s.now, c, views, d)
-	}
-	sc.apply(s, c, d)
+	cl := &s.clients[c]
+	sc.apply(s, c, bh2.Decide(s.decRNG, s.cfg.BH2, cl.home, cl.assigned, sc.views(s, c)))
 }
 
 func (sc bh2Scheme) apply(s *sim, c int, d bh2.Decision) {

@@ -21,7 +21,7 @@ func (centralizedScheme) newPolicy(cfg Config) (kswitch.Policy, error) {
 func (centralizedScheme) usesDemand() bool { return true }
 
 func (centralizedScheme) seedEvents(s *sim) {
-	s.push(event{t: s.cfg.OptimalEvery, kind: evResolve})
+	s.push(s.cfg.OptimalEvery, evResolve, 0, 0)
 }
 
 // route follows the controller's assignment; it may wake the assigned

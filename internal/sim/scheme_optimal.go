@@ -28,7 +28,7 @@ func (optimalScheme) newPolicy(cfg Config) (kswitch.Policy, error) {
 func (optimalScheme) usesDemand() bool { return true }
 
 func (optimalScheme) seedEvents(s *sim) {
-	s.push(event{t: s.cfg.OptimalEvery, kind: evResolve})
+	s.push(s.cfg.OptimalEvery, evResolve, 0, 0)
 }
 
 // route prefers the current assignment, then any open in-range gateway,
@@ -136,7 +136,7 @@ func (sc optimalScheme) migrateFlows(s *sim, g *gateway) {
 	moving := g.flows
 	g.flows = nil
 	g.flowsGen++
-	g.complEpoch++
+	g.bumpEpoch()
 	for _, fi := range moving {
 		f := &s.flows[fi]
 		target := s.clients[f.client].assigned

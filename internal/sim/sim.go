@@ -130,10 +130,6 @@ type Config struct {
 	// errors, because their cross-gateway coupling (shared RNG streams,
 	// k-switch remap order, global re-solves) breaks the class symmetry.
 	Quotient *QuotientPlan
-
-	// DebugDecisions, when set, observes every BH2 decision (diagnostics
-	// and tests only).
-	DebugDecisions func(t float64, client int, views []bh2.GatewayView, d bh2.Decision)
 }
 
 // QuotientPlan describes how a collapsed run maps back onto the full

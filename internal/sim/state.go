@@ -36,7 +36,7 @@ type gateway struct {
 	modem      *power.Device
 	flows      []int // indices into sim.flows
 	lastElapse float64
-	complEpoch int64
+	complEpoch uint32 // see bumpEpoch
 
 	sn           wifi.SeqCounter
 	byteResidual float64
@@ -75,6 +75,18 @@ type gateway struct {
 	schedGen         int64
 	schedMin         int
 	schedAllUncapped bool
+}
+
+// bumpEpoch orphans g's scheduled completion check: a popped evComplete
+// whose aux differs from complEpoch is stale. The epoch rides in the
+// event's 32-bit aux, so a stale check could pass for a live one only
+// after the epoch wrapped — 2^32 re-arms of one gateway while the stale
+// event waits, far past any trace. A wrap panics instead of aliasing.
+func (g *gateway) bumpEpoch() {
+	g.complEpoch++
+	if g.complEpoch == 0 {
+		panic(fmt.Sprintf("sim: completion epoch of gateway %d wrapped", g.id))
+	}
 }
 
 type client struct {
@@ -143,11 +155,11 @@ type shard struct {
 	strandedN int
 }
 
-// push assigns the lane's next sequence number and queues the event.
-func (sh *shard) push(e event) {
+// push assigns the lane's next sequence number and queues an event of the
+// given kind at time t on subject a (a gateway or client id).
+func (sh *shard) push(t float64, kind, a int, aux uint32) {
 	sh.seq++
-	e.seq = sh.seq
-	sh.h.push(e)
+	sh.h.push(event{t: t, key: uint64(sh.seq)<<kindBits | uint64(kind), a: int32(a), aux: aux})
 }
 
 type sim struct {
@@ -218,6 +230,9 @@ type sim struct {
 
 	decRNG  *rand.Rand
 	wakeRNG *rand.Rand
+	// viewBuf is the BH² strategy's reusable views scratch (strategies
+	// themselves stay stateless).
+	viewBuf []bh2.GatewayView
 
 	// Failure injection (failures.go); all nil/zero on failure-free runs.
 	// The per-client float accumulators (strandedSec, reconnSec) exist so
@@ -335,7 +350,7 @@ func newSim(cfg Config) (*sim, error) {
 	// Seed periodic events (always on the main lane: ticks, decisions and
 	// re-solves carry global order). Failure events due at t=0 are armed
 	// last; later ones chain off the tick handler (see armFailures).
-	s.push(event{t: 0, kind: evTick})
+	s.push(0, evTick, 0, 0)
 	strat.seedEvents(s)
 	if !cfg.Failures.Empty() {
 		s.initFailures(bins)
@@ -345,4 +360,4 @@ func newSim(cfg Config) (*sim, error) {
 }
 
 // push queues an event on the main lane.
-func (s *sim) push(e event) { s.main.push(e) }
+func (s *sim) push(t float64, kind, a int, aux uint32) { s.main.push(t, kind, a, aux) }

@@ -89,6 +89,15 @@ func FramesFor(bytes int64) int {
 // LoadEstimator reconstructs a gateway's backhaul utilization from
 // periodic SN observations, as a BH² terminal does while cycling through
 // monitor slices.
+//
+// The samples that saw traffic live in a ring buffer in time order. A
+// running frame sum and the time of the newest sample make every query
+// O(1): windows only ever drop a prefix of the ring (samples are appended
+// in time order), so each sample is added to and removed from the sum
+// exactly once. Samples past MaxAgeSec may linger until the ring fills,
+// but never count: Utilization drops everything before its window before
+// it reads the sum, and ActiveWithin compares the newest sample's time
+// with the window start.
 type LoadEstimator struct {
 	BackhaulBps float64 // the gateway's access speed
 	FrameBytes  float64 // assumed mean frame size
@@ -97,16 +106,25 @@ type LoadEstimator struct {
 	// observation minus MaxAgeSec cannot influence any Utilization or
 	// ActiveWithin query over a window <= MaxAgeSec (queries are issued at
 	// or after the newest observation), so Observe discards such samples
-	// in amortized O(1). Zero retains samples forever — which grows one
-	// sample per observation and is only suitable for short runs.
+	// before it grows a full ring. Zero retains samples forever — which
+	// grows one sample per observation with traffic and is only suitable
+	// for short runs.
 	MaxAgeSec float64
 
 	lastT  float64
 	lastSN uint16
 	primed bool
 
-	// Ring of (time, frames) samples covering the estimation window.
-	samples []sample
+	// Ring of (time, frames) samples with frames > 0 covering the
+	// estimation window: count samples starting at ring[head], wrapping at
+	// len(ring), which is zero or a power of two.
+	ring  []sample
+	head  int
+	count int
+	// frames is the sum of the retained samples' frame counts.
+	frames int
+	// newestT is the time of the newest sample, valid while count > 0.
+	newestT float64
 }
 
 type sample struct {
@@ -127,42 +145,60 @@ func (e *LoadEstimator) Observe(t float64, sn uint16) {
 		if t < e.lastT {
 			panic(fmt.Sprintf("wifi: observation at %v before %v", t, e.lastT))
 		}
-		e.samples = append(e.samples, sample{t, SeqDelta(e.lastSN, sn)})
-		// Compact only when at least half the ring is stale, so the O(n)
-		// pass amortizes to O(1) per observation and the backing array
-		// reaches a steady-state capacity (zero allocations thereafter).
-		if n := len(e.samples); e.MaxAgeSec > 0 && n >= 32 && e.samples[n/2].t < t-e.MaxAgeSec {
-			cut := t - e.MaxAgeSec
-			keep := e.samples[:0]
-			for _, s := range e.samples {
-				if s.t >= cut {
-					keep = append(keep, s)
-				}
+		// A sample without frames adds nothing to any Utilization sum and
+		// never makes ActiveWithin true, so only samples with traffic are
+		// kept.
+		if frames := SeqDelta(e.lastSN, sn); frames > 0 {
+			if e.count == len(e.ring) && e.MaxAgeSec > 0 {
+				e.dropBefore(t - e.MaxAgeSec)
 			}
-			e.samples = keep
+			e.append(sample{t, frames})
 		}
 	}
 	e.lastT, e.lastSN, e.primed = t, sn, true
 }
 
+// append adds s at the ring's tail, doubling the ring when it is full (the
+// capacity settles at the retained window, after which observations
+// allocate nothing).
+func (e *LoadEstimator) append(s sample) {
+	if e.count == len(e.ring) {
+		grown := make([]sample, max(16, 2*len(e.ring)))
+		for i := 0; i < e.count; i++ {
+			grown[i] = e.ring[(e.head+i)&(len(e.ring)-1)]
+		}
+		e.ring, e.head = grown, 0
+	}
+	e.ring[(e.head+e.count)&(len(e.ring)-1)] = s
+	e.count++
+	e.frames += s.frames
+	e.newestT = s.t
+}
+
+// dropBefore discards every sample older than cut. Sample times never
+// decrease along the ring, so those samples are exactly a prefix.
+func (e *LoadEstimator) dropBefore(cut float64) {
+	for e.count > 0 {
+		s := &e.ring[e.head]
+		if s.t >= cut {
+			break
+		}
+		e.frames -= s.frames
+		e.head = (e.head + 1) & (len(e.ring) - 1)
+		e.count--
+	}
+}
+
 // Utilization estimates the gateway's backhaul utilization over the window
 // [now-window, now]: estimated bytes divided by the link capacity over the
-// window. Returns 0 before two observations.
+// window. Returns 0 before two observations. It discards the samples
+// before the window, so a later query sees only what is left.
 func (e *LoadEstimator) Utilization(now, window float64) float64 {
 	if window <= 0 || e.BackhaulBps <= 0 {
 		return 0
 	}
-	from := now - window
-	var frames int
-	keep := e.samples[:0]
-	for _, s := range e.samples {
-		if s.t >= from {
-			keep = append(keep, s)
-			frames += s.frames
-		}
-	}
-	e.samples = keep
-	bytes := float64(frames) * e.FrameBytes
+	e.dropBefore(now - window)
+	bytes := float64(e.frames) * e.FrameBytes
 	u := bytes * 8 / (e.BackhaulBps * window)
 	if u > 1 {
 		u = 1
@@ -173,18 +209,12 @@ func (e *LoadEstimator) Utilization(now, window float64) float64 {
 // ActiveWithin reports whether the gateway transmitted any data frame in
 // [now-window, now] — the observable "will not hit its idle timeout" test.
 func (e *LoadEstimator) ActiveWithin(now, window float64) bool {
-	from := now - window
-	for _, s := range e.samples {
-		if s.t >= from && s.frames > 0 {
-			return true
-		}
-	}
-	return false
+	return e.count > 0 && e.newestT >= now-window
 }
 
 // Reset clears the estimator (used when a gateway sleeps: its counter
 // restarts on wake).
 func (e *LoadEstimator) Reset() {
 	e.primed = false
-	e.samples = e.samples[:0]
+	e.head, e.count, e.frames = 0, 0, 0
 }

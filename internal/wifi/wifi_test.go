@@ -2,6 +2,7 @@ package wifi
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -214,4 +215,177 @@ func TestActiveWithin(t *testing.T) {
 	if e.ActiveWithin(100, 60) {
 		t.Error("stale frame counted as recent activity")
 	}
+}
+
+// refEstimator is the slice-backed LoadEstimator the ring replaced, kept
+// as the differential-test reference: Observe appends and compacts once
+// half the slice is stale, Utilization rescans and compacts to its window,
+// ActiveWithin rescans.
+type refEstimator struct {
+	BackhaulBps, FrameBytes, MaxAgeSec float64
+
+	lastT   float64
+	lastSN  uint16
+	primed  bool
+	samples []sample
+}
+
+func (e *refEstimator) Observe(t float64, sn uint16) {
+	if e.primed {
+		if t < e.lastT {
+			panic("time travel")
+		}
+		e.samples = append(e.samples, sample{t, SeqDelta(e.lastSN, sn)})
+		if n := len(e.samples); e.MaxAgeSec > 0 && n >= 32 && e.samples[n/2].t < t-e.MaxAgeSec {
+			cut := t - e.MaxAgeSec
+			keep := e.samples[:0]
+			for _, s := range e.samples {
+				if s.t >= cut {
+					keep = append(keep, s)
+				}
+			}
+			e.samples = keep
+		}
+	}
+	e.lastT, e.lastSN, e.primed = t, sn, true
+}
+
+func (e *refEstimator) Utilization(now, window float64) float64 {
+	if window <= 0 || e.BackhaulBps <= 0 {
+		return 0
+	}
+	from := now - window
+	var frames int
+	keep := e.samples[:0]
+	for _, s := range e.samples {
+		if s.t >= from {
+			keep = append(keep, s)
+			frames += s.frames
+		}
+	}
+	e.samples = keep
+	bytes := float64(frames) * e.FrameBytes
+	u := bytes * 8 / (e.BackhaulBps * window)
+	if u > 1 {
+		u = 1
+	}
+	return u
+}
+
+func (e *refEstimator) ActiveWithin(now, window float64) bool {
+	from := now - window
+	for _, s := range e.samples {
+		if s.t >= from && s.frames > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func (e *refEstimator) Reset() {
+	e.primed = false
+	e.samples = e.samples[:0]
+}
+
+// matchReference replays the op stream encoded in ops (three bytes per op)
+// on the ring estimator and on the reference, failing on the first query
+// whose answer differs. Utilization must agree bit for bit.
+//
+// Observation times advance on a half-second grid, often by zero
+// (repeated timestamps), and SN deltas reach 4095 so the 12-bit counter
+// wraps. With maxAge > 0 queries stay within the retention contract:
+// windows up to maxAge, issued at or after the newest observation. With
+// maxAge 0 (nothing is ever aged out) windows range past any history,
+// include +Inf, and queries may also look from before the newest
+// observation.
+func matchReference(t *testing.T, maxAge, backhaul float64, ops []byte) {
+	t.Helper()
+	got := &LoadEstimator{BackhaulBps: backhaul, FrameBytes: DefaultFrameBytes, MaxAgeSec: maxAge}
+	want := &refEstimator{BackhaulBps: backhaul, FrameBytes: DefaultFrameBytes, MaxAgeSec: maxAge}
+	var clock float64
+	var sn SeqCounter
+	window := func(b byte) float64 {
+		switch {
+		case b == 255:
+			return -1
+		case maxAge > 0 && b%4 == 0:
+			return maxAge
+		case maxAge > 0:
+			return math.Min(float64(b%64)*0.5, maxAge)
+		case b == 254:
+			return math.Inf(1)
+		default:
+			return float64(b%128) * 0.5
+		}
+	}
+	queryAt := func(b byte) float64 {
+		d := float64(b%8) * 0.5
+		if maxAge == 0 && b&0x80 != 0 {
+			return clock - 4*d
+		}
+		return clock + d
+	}
+	for i := 0; i+2 < len(ops); i += 3 {
+		// Utilization discards what lies before its window, so it is kept
+		// rare: long stretches between calls let MaxAgeSec retention
+		// decide what the non-destructive ActiveWithin queries see.
+		op, b1, b2 := ops[i]%32, ops[i+1], ops[i+2]
+		switch {
+		case op < 18:
+			clock += float64(b1%6) * 0.5
+			frames := int(b2 % 8)
+			if b2 >= 192 {
+				frames = int(b2) * 16 % SNModulus
+			}
+			sn.Advance(frames)
+			got.Observe(clock, sn.Value())
+			want.Observe(clock, sn.Value())
+		case op < 20:
+			now, w := queryAt(b1), window(b2)
+			if g, r := got.Utilization(now, w), want.Utilization(now, w); g != r {
+				t.Fatalf("op %d: Utilization(%v, %v) = %v, reference %v", i/3, now, w, g, r)
+			}
+		case op < 31:
+			now, w := queryAt(b1), window(b2)
+			if g, r := got.ActiveWithin(now, w), want.ActiveWithin(now, w); g != r {
+				t.Fatalf("op %d: ActiveWithin(%v, %v) = %v, reference %v", i/3, now, w, g, r)
+			}
+		default:
+			got.Reset()
+			want.Reset()
+		}
+	}
+}
+
+// TestLoadEstimatorMatchesReference runs long random op streams through
+// the ring and the slice reference, for the testbed's unbounded estimator
+// (MaxAgeSec 0) and for the simulator's windowed ones, on an access link
+// and on a link slow enough to clamp utilization at 1.
+func TestLoadEstimatorMatchesReference(t *testing.T) {
+	for _, maxAge := range []float64{0, 7.5, 60} {
+		for _, backhaul := range []float64{6e6, 2e4} {
+			for seed := int64(1); seed <= 5; seed++ {
+				r := rand.New(rand.NewSource(seed))
+				ops := make([]byte, 3*20000)
+				r.Read(ops)
+				matchReference(t, maxAge, backhaul, ops)
+			}
+		}
+	}
+}
+
+// FuzzLoadEstimatorMatchesReference lets the fuzzer pick the op stream;
+// the first byte picks the retention bound and the link speed.
+func FuzzLoadEstimatorMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 5, 0, 2, 200, 3, 0, 10, 5, 1, 3, 7, 7, 0, 0, 0})
+	f.Add([]byte{2, 1, 0, 250, 1, 2, 255, 4, 3, 60, 6, 5, 20, 7, 0, 0, 0, 5, 0, 0})
+	f.Add([]byte{5, 0, 1, 1, 0, 0, 1, 4, 0, 254, 6, 0, 254, 3, 130, 30})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		maxAge := []float64{0, 3, 10, 60}[data[0]%4]
+		backhaul := []float64{6e6, 2e4}[data[0]/4%2]
+		matchReference(t, maxAge, backhaul, data[1:])
+	})
 }
