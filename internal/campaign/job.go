@@ -378,10 +378,15 @@ type groupKey struct {
 
 // buildFixtures generates the scenario fixtures the pending cells need, in
 // parallel: fixture generation is deterministic per (variant, seed) and
-// independent, so the worker pool does not have to idle behind serial
-// trace synthesis. All pending fixtures stay resident for the run — shard
-// a campaign into several specs if variants x seeds of a city-scale
-// scenario exceed memory.
+// independent, so the worker pool does not have to idle behind trace
+// synthesis. The two levels nest: each fixture group's trace.Generate
+// splits its own clients into ranges on GOMAXPROCS goroutines, so a
+// single city-scale group (metro-shuffled's one seed) still uses every
+// core, while traces too small for two ranges of the generator's
+// per-range client minimum (office, quotient scenarios) stay serial and
+// leave the cores to the group-level pool. All pending fixtures stay
+// resident for the run — shard a campaign into several specs if
+// variants x seeds of a city-scale scenario exceed memory.
 func (p *Plan) buildFixtures(ctx context.Context, pending []Cell, opts Options) (map[groupKey]*fixture, map[groupKey]*needs, []groupKey, error) {
 	var groups []groupKey
 	for _, c := range pending {

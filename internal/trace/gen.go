@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 
 	"insomnia/internal/stats"
 )
@@ -194,8 +196,19 @@ func DefaultResidentialConfig(n int, seed int64) Config {
 }
 
 // Generate synthesizes a trace from cfg. It is deterministic in cfg
-// (including Seed).
+// (including Seed): large traces are generated on GOMAXPROCS goroutines,
+// and the result is byte-identical to a one-goroutine run.
 func Generate(cfg Config) (*Trace, error) {
+	return generate(cfg, runtime.GOMAXPROCS(0))
+}
+
+// minRangeClients is the fewest clients one generator goroutine takes on.
+// Traces smaller than two ranges (the 272-client office trace, quotient
+// traces of a few dozen clients) run serially.
+const minRangeClients = 512
+
+// generate is Generate on at most workers goroutines.
+func generate(cfg Config, workers int) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Clients <= 0 || cfg.APs <= 0 {
 		return nil, fmt.Errorf("trace: need positive Clients and APs, got %d/%d", cfg.Clients, cfg.APs)
@@ -245,19 +258,60 @@ func Generate(cfg Config) (*Trace, error) {
 		}
 	}
 
-	// One generator reseeded per client instead of one allocated per
-	// client: math/rand's source alone is ~5 KB, which at city scale
-	// (100k clients) accounted for most of the generator's heap churn.
-	// Reseed reproduces NewRNG's state exactly, so traces are unchanged,
-	// and costs ~3 µs: stats' source seeds from a table of powers rather
-	// than math/rand's 1841-step chain.
+	// Contiguous client ranges, each on its own goroutine with its own
+	// generator. Every range appends into an equal share of the event
+	// slices' capacity, its window, so the ranges together allocate no
+	// more than one serial loop. The window's capped capacity stops a
+	// range that outgrows it from writing into the next window: append
+	// moves the range to a private slice instead. Compaction then lays the
+	// ranges out in client order: the slice the serial loop builds. Small
+	// traces stay on one range, on the calling goroutine.
+	ranges := min(workers, cfg.Clients/minRangeClients)
+	if ranges <= 1 {
+		genRange(tr, cfg, 0, cfg.Clients)
+		sortEvents(tr, false)
+		return tr, nil
+	}
+	parts := make([]Trace, ranges)
+	var wg sync.WaitGroup
+	for i := range parts {
+		parts[i].Flows = window(tr.Flows, i, ranges)
+		parts[i].Keepalives = window(tr.Keepalives, i, ranges)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			genRange(&parts[i], cfg, cfg.Clients*i/ranges, cfg.Clients*(i+1)/ranges)
+		}()
+	}
+	wg.Wait()
+	fs, ks := make([][]Flow, ranges), make([][]Packet, ranges)
+	for i, p := range parts {
+		fs[i], ks[i] = p.Flows, p.Keepalives
+	}
+	tr.Flows, tr.Keepalives = compact(tr.Flows, fs), compact(tr.Keepalives, ks)
+	sortEvents(tr, true)
+	return tr, nil
+}
+
+// genRange appends the events of clients [lo, hi) to tr, in client
+// order. Every client reseeds the range's one generator from its own key,
+// so its draws never depend on the clients before it and ranges can run
+// concurrently. Reseeding instead of allocating a generator per client
+// matters: math/rand's source alone is ~5 KB, which at city scale (100k
+// clients) was most of the generator's heap churn. Reseed reproduces
+// NewRNG's state exactly and costs ~3 µs: stats' source seeds from a
+// table of powers rather than math/rand's 1841-step chain.
+func genRange(tr *Trace, cfg Config, lo, hi int) {
 	r := stats.NewRNG(cfg.Seed, 0x1000)
-	for c := 0; c < cfg.Clients; c++ {
-		key := uint64(c)
+	for c := lo; c < hi; {
+		key, next := uint64(c), c+1
 		if cfg.Symmetric {
 			// Slot-keyed streams: clients in the same slot on different
 			// APs draw identical event sequences (see Config.Symmetric).
+			// A slot's clients are contiguous, so generate the first one
+			// in this range and stamp copies for the rest.
 			key = uint64(c / cfg.APs)
+			next = min(int(key+1)*cfg.APs, hi)
 		}
 		stats.Reseed(r, cfg.Seed, 0x1000+key)
 		w := 1.0
@@ -265,21 +319,97 @@ func Generate(cfg Config) (*Trace, error) {
 			s := cfg.ClientWeightSigma
 			w = stats.Lognormal(r, -s*s/2, s) // mean 1
 		}
+		f0, k0 := len(tr.Flows), len(tr.Keepalives)
 		genClient(tr, int32(c), r, cfg, w)
+		flows, keeps := tr.Flows[f0:], tr.Keepalives[k0:]
+		for d := c + 1; d < next; d++ {
+			for _, f := range flows {
+				f.Client = int32(d)
+				tr.Flows = append(tr.Flows, f)
+			}
+			for _, k := range keeps {
+				k.Client = int32(d)
+				tr.Keepalives = append(tr.Keepalives, k)
+			}
+		}
+		c = next
 	}
-	sortEvents(tr)
-	return tr, nil
 }
 
-// sortEvents orders flows by Start and keepalives by T. Traces are pinned
-// byte for byte, so ties must land exactly where sort.Slice with the
-// equivalent less function puts them: slices.SortFunc is the same pdqsort,
-// instantiated from one template, so it permutes identically
+// window returns range i of n's share of big's spare capacity: empty,
+// starting at windowAt(big, i, n) and capped where window i+1 starts.
+func window[E any](big []E, i, n int) []E {
+	return big[windowAt(big, i, n):windowAt(big, i, n):windowAt(big, i+1, n)]
+}
+
+func windowAt[E any](big []E, i, n int) int { return cap(big) * i / n }
+
+// compact concatenates parts, the ranges' events in client order, into
+// big's backing array (a new one if they outgrew it) and returns the
+// result. Part i still sits in window(big, i, len(parts)) unless it
+// outgrew that window and moved to a private array. Parts move so that
+// none overwrites a window not yet moved. A part still in its window
+// whose place starts at or before the window's start ends inside its own
+// window and starts above every earlier part bound right, so those move
+// first, left to right. A part bound right, or one that left its window,
+// can only reach later windows, so they follow, right to left.
+func compact[E any](big []E, parts [][]E) []E {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	if total > cap(big) {
+		out := make([]E, 0, total)
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	out, n := big[:total], len(parts)
+	dst := make([]int, n)
+	for i, at := 0, 0; i < n; i++ {
+		dst[i], at = at, at+len(parts[i])
+	}
+	leftward := func(i int) bool {
+		return len(parts[i]) <= cap(window(big, i, n)) && dst[i] <= windowAt(big, i, n)
+	}
+	for i, p := range parts {
+		if leftward(i) {
+			copy(out[dst[i]:], p)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		if !leftward(i) {
+			copy(out[dst[i]:], parts[i])
+		}
+	}
+	return out
+}
+
+// sortEvents orders flows by Start and keepalives by T, the two sorts
+// concurrently when concurrent is set. Traces are pinned byte for byte,
+// so ties must land exactly where sort.Slice with the equivalent less
+// function puts them: slices.SortFunc is the same pdqsort, instantiated
+// from one template, so it permutes identically
 // (TestSortEventsMatchesSortSlice) without sort.Slice's reflection-based
-// swapper.
-func sortEvents(tr *Trace) {
-	slices.SortFunc(tr.Flows, func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) })
+// swapper. Each sort stays serial: streams that start at t=0 tie on every
+// city trace, and a parallel sort would permute ties differently.
+func sortEvents(tr *Trace, concurrent bool) {
+	sortFlows := func() {
+		slices.SortFunc(tr.Flows, func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) })
+	}
+	var wg sync.WaitGroup
+	if concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sortFlows()
+		}()
+	} else {
+		sortFlows()
+	}
 	slices.SortFunc(tr.Keepalives, func(a, b Packet) int { return cmp.Compare(a.T, b.T) })
+	wg.Wait()
 }
 
 // boundedParetoMean is the mean of the bounded Pareto(alpha, lo, hi)
