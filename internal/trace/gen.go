@@ -260,48 +260,75 @@ func generate(cfg Config, workers int) (*Trace, error) {
 
 	// Contiguous client ranges, each on its own goroutine with its own
 	// generator. Every range appends into an equal share of the event
-	// slices' capacity, its window, so the ranges together allocate no
-	// more than one serial loop. The window's capped capacity stops a
-	// range that outgrows it from writing into the next window: append
-	// moves the range to a private slice instead. Compaction then lays the
-	// ranges out in client order: the slice the serial loop builds. Small
-	// traces stay on one range, on the calling goroutine.
+	// slices' capacity, its window. A range whose next client does not
+	// fit in its window puts that client and all later ones in a private
+	// spill slice, so the only event storage beyond the serial loop's is
+	// the overflow. Compaction then lays the ranges out in client order:
+	// the slice the serial loop builds. Small traces stay on one range,
+	// which has no neighbour to protect: it appends to the whole slice and
+	// grows it as the serial loop does, since a spill plus an exact-size
+	// copy costs more than one append growth when a small trace outgrows
+	// its estimate (quotient traces of a few slot streams often do).
 	ranges := min(workers, cfg.Clients/minRangeClients)
-	if ranges <= 1 {
-		genRange(tr, cfg, 0, cfg.Clients)
-		sortEvents(tr, false)
-		return tr, nil
+	if ranges < 1 {
+		ranges = 1
 	}
-	parts := make([]Trace, ranges)
+	fs, ks := make([]lane[Flow], ranges), make([]lane[Packet], ranges)
+	if ranges == 1 {
+		fs[0].spill, ks[0].spill = tr.Flows, tr.Keepalives
+	}
 	var wg sync.WaitGroup
-	for i := range parts {
-		parts[i].Flows = window(tr.Flows, i, ranges)
-		parts[i].Keepalives = window(tr.Keepalives, i, ranges)
+	for i := range ranges {
+		fs[i].win, ks[i].win = window(tr.Flows, i, ranges), window(tr.Keepalives, i, ranges)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			genRange(&parts[i], cfg, cfg.Clients*i/ranges, cfg.Clients*(i+1)/ranges)
+			genRange(&fs[i], &ks[i], cfg, cfg.Clients*i/ranges, cfg.Clients*(i+1)/ranges)
 		}()
 	}
 	wg.Wait()
-	fs, ks := make([][]Flow, ranges), make([][]Packet, ranges)
-	for i, p := range parts {
-		fs[i], ks[i] = p.Flows, p.Keepalives
-	}
 	tr.Flows, tr.Keepalives = compact(tr.Flows, fs), compact(tr.Keepalives, ks)
-	sortEvents(tr, true)
+	sortEvents(tr)
 	return tr, nil
 }
 
-// genRange appends the events of clients [lo, hi) to tr, in client
-// order. Every client reseeds the range's one generator from its own key,
-// so its draws never depend on the clients before it and ranges can run
-// concurrently. Reseeding instead of allocating a generator per client
-// matters: math/rand's source alone is ~5 KB, which at city scale (100k
-// clients) was most of the generator's heap churn. Reseed reproduces
-// NewRNG's state exactly and costs ~3 µs: stats' source seeds from a
-// table of powers rather than math/rand's 1841-step chain.
-func genRange(tr *Trace, cfg Config, lo, hi int) {
+// lane holds one range's events of one kind in client order: first in
+// the range's window of the shared slice, then, from the first client
+// that outgrows the window, in a private spill slice.
+type lane[E any] struct{ win, spill []E }
+
+// next returns the slice the lane's next client appends its events to:
+// the free rest of the window, or the spill once there is one.
+func (l *lane[E]) next() []E {
+	if l.spill != nil {
+		return l.spill
+	}
+	return l.win[len(l.win):]
+}
+
+// commit takes back s, the slice next returned with one client's events
+// appended. If they outgrew the window, append has moved them, and only
+// them, to a new array, which starts the spill.
+func (l *lane[E]) commit(s []E) {
+	switch {
+	case l.spill != nil:
+		l.spill = s
+	case cap(s) == cap(l.win)-len(l.win):
+		l.win = l.win[:len(l.win)+len(s)]
+	default:
+		l.spill = s
+	}
+}
+
+// genRange adds the events of clients [lo, hi) to flows and keeps, in
+// client order. Every client reseeds the range's one generator from its
+// own key, so its draws never depend on the clients before it and ranges
+// can run concurrently. Reseeding instead of allocating a generator per
+// client matters: math/rand's source alone is ~5 KB, which at city scale
+// (100k clients) was most of the generator's heap churn. Reseed
+// reproduces NewRNG's state exactly and costs ~3 µs: stats' source seeds
+// from a table of powers rather than math/rand's 1841-step chain.
+func genRange(flows *lane[Flow], keeps *lane[Packet], cfg Config, lo, hi int) {
 	r := stats.NewRNG(cfg.Seed, 0x1000)
 	for c := lo; c < hi; {
 		key, next := uint64(c), c+1
@@ -319,18 +346,24 @@ func genRange(tr *Trace, cfg Config, lo, hi int) {
 			s := cfg.ClientWeightSigma
 			w = stats.Lognormal(r, -s*s/2, s) // mean 1
 		}
-		f0, k0 := len(tr.Flows), len(tr.Keepalives)
-		genClient(tr, int32(c), r, cfg, w)
-		flows, keeps := tr.Flows[f0:], tr.Keepalives[k0:]
+		one := Trace{Flows: flows.next(), Keepalives: keeps.next()}
+		f0, k0 := len(one.Flows), len(one.Keepalives)
+		genClient(&one, int32(c), r, cfg, w)
+		flows.commit(one.Flows)
+		keeps.commit(one.Keepalives)
+		src := Trace{Flows: one.Flows[f0:], Keepalives: one.Keepalives[k0:]}
 		for d := c + 1; d < next; d++ {
-			for _, f := range flows {
+			one = Trace{Flows: flows.next(), Keepalives: keeps.next()}
+			for _, f := range src.Flows {
 				f.Client = int32(d)
-				tr.Flows = append(tr.Flows, f)
+				one.Flows = append(one.Flows, f)
 			}
-			for _, k := range keeps {
+			for _, k := range src.Keepalives {
 				k.Client = int32(d)
-				tr.Keepalives = append(tr.Keepalives, k)
+				one.Keepalives = append(one.Keepalives, k)
 			}
+			flows.commit(one.Flows)
+			keeps.commit(one.Keepalives)
 		}
 		c = next
 	}
@@ -344,70 +377,67 @@ func window[E any](big []E, i, n int) []E {
 
 func windowAt[E any](big []E, i, n int) int { return cap(big) * i / n }
 
-// compact concatenates parts, the ranges' events in client order, into
+// compact concatenates lanes, the ranges' events in client order, into
 // big's backing array (a new one if they outgrew it) and returns the
-// result. Part i still sits in window(big, i, len(parts)) unless it
-// outgrew that window and moved to a private array. Parts move so that
-// none overwrites a window not yet moved. A part still in its window
-// whose place starts at or before the window's start ends inside its own
-// window and starts above every earlier part bound right, so those move
-// first, left to right. A part bound right, or one that left its window,
-// can only reach later windows, so they follow, right to left.
-func compact[E any](big []E, parts [][]E) []E {
+// result. Lane i's window part still sits at windowAt(big, i, n). Parts
+// move so that none overwrites a window not yet moved. A window bound
+// left ends inside its own window and starts above every earlier window's
+// events, so those move first, left to right. A window bound right lands
+// above every earlier window and below none it has not moved, so they
+// follow, right to left. Spills come last, when no window is left to
+// overwrite. One lane with only a spill is the one range that appended
+// to the whole slice; it is already the result.
+func compact[E any](big []E, lanes []lane[E]) []E {
+	if len(lanes) == 1 && len(lanes[0].win) == 0 {
+		return lanes[0].spill
+	}
 	total := 0
-	for _, p := range parts {
-		total += len(p)
+	for _, l := range lanes {
+		total += len(l.win) + len(l.spill)
 	}
 	if total > cap(big) {
 		out := make([]E, 0, total)
-		for _, p := range parts {
-			out = append(out, p...)
+		for _, l := range lanes {
+			out = append(append(out, l.win...), l.spill...)
 		}
 		return out
 	}
-	out, n := big[:total], len(parts)
+	out, n := big[:total], len(lanes)
 	dst := make([]int, n)
 	for i, at := 0, 0; i < n; i++ {
-		dst[i], at = at, at+len(parts[i])
+		dst[i], at = at, at+len(lanes[i].win)+len(lanes[i].spill)
 	}
-	leftward := func(i int) bool {
-		return len(parts[i]) <= cap(window(big, i, n)) && dst[i] <= windowAt(big, i, n)
-	}
-	for i, p := range parts {
-		if leftward(i) {
-			copy(out[dst[i]:], p)
+	for i, l := range lanes {
+		if dst[i] < windowAt(big, i, n) {
+			copy(out[dst[i]:], l.win)
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
-		if !leftward(i) {
-			copy(out[dst[i]:], parts[i])
+		if dst[i] > windowAt(big, i, n) {
+			copy(out[dst[i]:], lanes[i].win)
 		}
+	}
+	for i, l := range lanes {
+		copy(out[dst[i]+len(l.win):], l.spill)
 	}
 	return out
 }
 
 // sortEvents orders flows by Start and keepalives by T, the two sorts
-// concurrently when concurrent is set. Traces are pinned byte for byte,
-// so ties must land exactly where sort.Slice with the equivalent less
-// function puts them: slices.SortFunc is the same pdqsort, instantiated
-// from one template, so it permutes identically
-// (TestSortEventsMatchesSortSlice) without sort.Slice's reflection-based
-// swapper. Each sort stays serial: streams that start at t=0 tie on every
-// city trace, and a parallel sort would permute ties differently.
-func sortEvents(tr *Trace, concurrent bool) {
-	sortFlows := func() {
-		slices.SortFunc(tr.Flows, func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) })
-	}
+// concurrently. Traces are pinned byte for byte, so ties must land
+// exactly where sort.Slice with the equivalent less function puts them:
+// slices.SortFunc is the same pdqsort, instantiated from one template, so
+// it permutes identically (TestSortEventsMatchesSortSlice) without
+// sort.Slice's reflection-based swapper. Each sort stays serial: streams
+// that start at t=0 tie on every city trace, and a parallel sort would
+// permute ties differently.
+func sortEvents(tr *Trace) {
 	var wg sync.WaitGroup
-	if concurrent {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sortFlows()
-		}()
-	} else {
-		sortFlows()
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		slices.SortFunc(tr.Flows, func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) })
+	}()
 	slices.SortFunc(tr.Keepalives, func(a, b Packet) int { return cmp.Compare(a.T, b.T) })
 	wg.Wait()
 }

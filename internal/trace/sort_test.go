@@ -12,7 +12,7 @@ import (
 func sortBothWays(t *testing.T, name string, flows []Flow, keeps []Packet) {
 	t.Helper()
 	got := &Trace{Flows: append([]Flow(nil), flows...), Keepalives: append([]Packet(nil), keeps...)}
-	sortEvents(got, true)
+	sortEvents(got)
 	wf := append([]Flow(nil), flows...)
 	wk := append([]Packet(nil), keeps...)
 	sort.Slice(wf, func(i, j int) bool { return wf[i].Start < wf[j].Start })
